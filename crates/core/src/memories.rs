@@ -5,8 +5,8 @@
 //! each with its own controller).
 
 use bbb_cache::MemoryPort;
-use bbb_mem::{DramController, NvmImage, NvmmController};
-use bbb_sim::{AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
+use bbb_mem::{DramController, NvmImage, NvmmController, PAGE_BYTES};
+use bbb_sim::{Addr, AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
 
 /// Both memory controllers plus the address map that routes between them.
 #[derive(Debug, Clone)]
@@ -50,6 +50,28 @@ impl Memories {
             self.nvmm.load(block, data);
         } else {
             self.dram.load(block, data);
+        }
+    }
+
+    /// Pre-loads one whole page (warm start) without simulated time. A
+    /// page inside one region becomes a single full-page media write; a
+    /// page straddling the DRAM/NVMM boundary (`dram_bytes` need not be a
+    /// page multiple) is routed block by block through
+    /// [`Memories::load`].
+    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
+        debug_assert_eq!(page.len(), PAGE_BYTES, "whole pages only");
+        let nvmm = self.map.is_nvmm(base);
+        if nvmm == self.map.is_nvmm(base + PAGE_BYTES as u64 - 1) {
+            if nvmm {
+                self.nvmm.load_page(base, page);
+            } else {
+                self.dram.load_page(base, page);
+            }
+            return;
+        }
+        for (i, chunk) in page.chunks_exact(BLOCK_BYTES).enumerate() {
+            let block = BlockAddr::containing(base + (i * BLOCK_BYTES) as u64);
+            self.load(block, chunk.try_into().expect("block-sized chunk"));
         }
     }
 

@@ -356,13 +356,8 @@ impl System {
     /// media, exactly as a reboot would find them. Recovery code then
     /// runs as ordinary workload operations.
     pub fn adopt_image(&mut self, image: &bbb_mem::NvmImage) {
-        let pages: Vec<(u64, Vec<u8>)> = image
-            .as_store()
-            .iter_pages()
-            .map(|(a, p)| (a, p.to_vec()))
-            .collect();
-        for (base, page) in pages {
-            self.arch.write(base, &page);
+        for (base, page) in image.as_store().iter_pages() {
+            self.arch.write(base, page);
         }
         self.sync_media_from_arch();
     }
@@ -382,20 +377,11 @@ impl System {
     }
 
     /// Copies every materialized architectural-memory page into the
-    /// backing media without consuming simulated time.
+    /// backing media without consuming simulated time, one whole-page
+    /// media write per page (see [`Memories::load_page`]).
     pub fn sync_media_from_arch(&mut self) {
-        let pages: Vec<(u64, Vec<u8>)> = self
-            .arch
-            .iter_pages()
-            .map(|(a, p)| (a, p.to_vec()))
-            .collect();
-        for (base, page) in pages {
-            for (i, chunk) in page.chunks_exact(bbb_sim::BLOCK_BYTES).enumerate() {
-                let block = BlockAddr::containing(base + (i * bbb_sim::BLOCK_BYTES) as u64);
-                let mut data = [0u8; bbb_sim::BLOCK_BYTES];
-                data.copy_from_slice(chunk);
-                self.memories.load(block, &data);
-            }
+        for (base, page) in self.arch.iter_pages() {
+            self.memories.load_page(base, page);
         }
     }
 
@@ -1514,6 +1500,63 @@ mod tests {
         let err = System::new(cfg, PersistencyMode::Eadr).unwrap_err();
         assert!(matches!(err, SystemError::InvalidConfig(_)));
         assert!(format!("{err}").contains("invalid configuration"));
+    }
+
+    #[test]
+    fn page_sync_matches_block_loads_across_unaligned_dram_boundary() {
+        use bbb_mem::PAGE_BYTES;
+        use bbb_sim::BLOCK_BYTES;
+
+        // DRAM ends five blocks into a page, so that page straddles the
+        // DRAM/NVMM boundary and must be split between the controllers.
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.dram_bytes += 5 * BLOCK_BYTES as u64;
+        let page = PAGE_BYTES as u64;
+        let boundary_page = cfg.dram_bytes / page * page;
+        let full_pages = [
+            0,
+            boundary_page - page,
+            boundary_page,
+            boundary_page + 3 * page,
+        ];
+        let mut paged = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
+        for (i, base) in full_pages.into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..PAGE_BYTES).map(|b| (b * 7 + i) as u8 | 1).collect();
+            paged.arch.write(base, &bytes);
+        }
+        // A sparse page: one word, the rest zero.
+        paged.arch.write_u64(boundary_page + 9 * page + 64, 0xFEED);
+
+        let mut blocked = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
+        blocked.arch = paged.arch.clone();
+        paged.sync_media_from_arch();
+        // The reference: every block routed on its own.
+        for (base, bytes) in blocked.arch.iter_pages() {
+            for (i, chunk) in bytes.chunks_exact(BLOCK_BYTES).enumerate() {
+                let block = BlockAddr::containing(base + (i * BLOCK_BYTES) as u64);
+                blocked.memories.load(block, chunk.try_into().unwrap());
+            }
+        }
+
+        for (base, _) in paged.arch.iter_pages() {
+            for i in 0..(page / BLOCK_BYTES as u64) {
+                let block = BlockAddr::containing(base + i * BLOCK_BYTES as u64);
+                let want = paged.arch.read_block(block);
+                assert_eq!(paged.memories.read_block(0, block).1, want, "{block:?}");
+                assert_eq!(blocked.memories.read_block(0, block).1, want, "{block:?}");
+            }
+        }
+        let (p, b) = (paged.memories.nvmm(), blocked.memories.nvmm());
+        assert!(
+            p.media_snapshot() == b.media_snapshot(),
+            "NVMM media differ"
+        );
+        for key in ["nvmm.media_pages", "nvmm.cow_page_copies"] {
+            assert_eq!(p.stats().get(key), b.stats().get(key), "{key}");
+        }
+        // The straddling page is resident in both controllers: NVMM holds
+        // it, the full page above it and the sparse one.
+        assert_eq!(p.stats().get("nvmm.media_pages"), 3);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! owns the [`WritePendingQueue`] (the ADR persistence domain) and an
 //! [`EnduranceTracker`].
 
-use bbb_sim::{BlockAddr, Counter, Cycle, MemTiming, Stats, TraceEvent, TraceLog, BLOCK_BYTES};
+use bbb_sim::{
+    Addr, BlockAddr, Counter, Cycle, MemTiming, Stats, TraceEvent, TraceLog, BLOCK_BYTES,
+};
 
 use crate::backing::ByteStore;
 use crate::endurance::EnduranceTracker;
@@ -80,6 +82,12 @@ impl DramController {
     /// start before measurement begins).
     pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
         self.media.write_block(block, data);
+    }
+
+    /// Pre-loads one whole page at page-aligned `base` with a single
+    /// full-page media write (see [`NvmmController::load_page`]).
+    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
+        self.media.write(base, page);
     }
 
     /// Exports counters under the `dram.` prefix.
@@ -207,6 +215,15 @@ impl NvmmController {
     /// Pre-loads media contents without consuming simulated time.
     pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
         self.media.write_block(block, data);
+    }
+
+    /// Pre-loads one whole page at page-aligned `base` without consuming
+    /// simulated time: one full-page media write instead of one per
+    /// block. The bytes are copied into a page the media owns alone —
+    /// sharing the caller's page would make the first later write-back to
+    /// it a counted copy-on-write (`nvmm.cow_page_copies`).
+    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
+        self.media.write(base, page);
     }
 
     /// Snapshot of the persistent image at a crash: media plus the WPQ,

@@ -44,7 +44,7 @@
 
 use bbb_core::OpStream;
 use bbb_cpu::Op;
-use bbb_mem::{ByteStore, NvmImage};
+use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
 use bbb_sim::{Addr, SplitMix64, ZipfSampler};
 
 /// High-bits tag marking a live KV slot (`"KVBB"` in ASCII-ish hex).
@@ -52,6 +52,24 @@ pub const KV_TAG: u64 = 0x4B56_4242_0000_0000;
 
 /// Slot stride: one cache line per key.
 pub const SLOT_BYTES: u64 = 64;
+
+/// The odd multiplier that scatters logical key indices over a tenant's
+/// slots (see [`KvLayout::slot_addr`]).
+const SCATTER_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `SCATTER_MUL⁻¹ mod 2⁶⁴`. Any odd `m` is its own inverse mod 8, and each
+/// Newton step `x ← x·(2 − m·x)` doubles the correct low bits (3 → 96).
+/// Reducing mod a power-of-two capacity keeps it an inverse there too.
+const SCATTER_INV: u64 = {
+    let mut x = SCATTER_MUL;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(SCATTER_MUL.wrapping_mul(x)));
+        step += 1;
+    }
+    x
+};
+const _: () = assert!(SCATTER_MUL.wrapping_mul(SCATTER_INV) == 1);
 
 /// How far the payload's version may run ahead of (or behind) the
 /// version word in a consistent image. Concurrent updates of the same
@@ -210,8 +228,31 @@ impl KvLayout {
     /// packed at the region start.
     #[must_use]
     pub fn slot_addr(&self, tenant: usize, idx: u64) -> Addr {
-        let scattered = idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (self.cap_per_tenant - 1);
+        let scattered = idx.wrapping_mul(SCATTER_MUL) & (self.cap_per_tenant - 1);
         self.base + (tenant as u64 * self.cap_per_tenant + scattered) * SLOT_BYTES
+    }
+
+    /// Every slot of the keyspace, insert headroom included, as
+    /// `(tenant, idx, slot_addr)` in ascending address order. Tenant
+    /// regions are contiguous, so the walk goes tenant by tenant; within
+    /// one it visits scattered positions `s = 0, 1, …`, whose key is
+    /// `idx = s·M⁻¹ mod cap` — the inverse of [`KvLayout::slot_addr`]'s
+    /// odd-multiplier scatter. Consecutive items share a page, which is
+    /// what lets set-up and the recovery oracle work page by page.
+    pub fn slots_by_address(&self) -> impl Iterator<Item = (usize, u64, Addr)> {
+        let Self {
+            base,
+            tenants,
+            cap_per_tenant: cap,
+            ..
+        } = *self;
+        (0..tenants).flat_map(move |tenant| {
+            let region = base + tenant as u64 * cap * SLOT_BYTES;
+            (0..cap).map(move |s| {
+                let idx = s.wrapping_mul(SCATTER_INV) & (cap - 1);
+                (tenant, idx, region + s * SLOT_BYTES)
+            })
+        })
     }
 
     /// Expected tag word of a live slot.
@@ -358,14 +399,41 @@ impl OpStream for KvWorkload {
         &self.name
     }
 
+    /// Populates the initial keys page by page: each page holding a live
+    /// slot is read into a local buffer, its live slots' tag, version and
+    /// payload words are overlaid, and it is stored back with one
+    /// full-page write. Bytes outside those 24-byte prefixes keep their
+    /// contents, and a page with no live slot is never written, so the
+    /// result — contents and resident pages alike — equals writing each
+    /// slot's three words in place.
     fn setup(&mut self, arch: &mut ByteStore) {
-        for tenant in 0..self.layout.tenants {
-            for idx in 0..self.layout.initial_per_tenant {
-                let slot = self.layout.slot_addr(tenant, idx);
-                arch.write_u64(slot, self.layout.tag_of(tenant, idx));
-                arch.write_u64(slot + 8, 1);
-                arch.write_u64(slot + 16, self.layout.payload_of(tenant, idx, 1));
+        let layout = self.layout;
+        let mut page = [0u8; PAGE_BYTES];
+        let mut page_base = None;
+        for (tenant, idx, slot) in layout.slots_by_address() {
+            if idx >= layout.initial_per_tenant {
+                continue;
             }
+            let base = slot & !(PAGE_BYTES as u64 - 1);
+            if page_base != Some(base) {
+                if let Some(done) = page_base.replace(base) {
+                    arch.write(done, &page);
+                }
+                arch.read(base, &mut page);
+            }
+            // Slots are block-aligned, so the 24 bytes never straddle pages.
+            let off = (slot - base) as usize;
+            let words = [
+                layout.tag_of(tenant, idx),
+                1,
+                layout.payload_of(tenant, idx, 1),
+            ];
+            for (field, word) in page[off..off + 24].chunks_exact_mut(8).zip(words) {
+                field.copy_from_slice(&word.to_le_bytes());
+            }
+        }
+        if let Some(done) = page_base {
+            arch.write(done, &page);
         }
     }
 
@@ -387,48 +455,51 @@ impl OpStream for KvWorkload {
 /// [`RACE_WINDOW`] of the recovered version word. Returns the number of
 /// live slots verified.
 ///
+/// Slots are visited in address order ([`KvLayout::slots_by_address`])
+/// through a page-memoizing [`NvmImage::reader`], so each page is looked
+/// up once rather than once per field.
+///
 /// # Errors
 ///
-/// Returns a description of the first inconsistent slot — expected for
-/// uninstrumented PMEM images, never for battery-backed modes.
+/// Returns a description of the lowest-address inconsistent slot —
+/// expected for uninstrumented PMEM images, never for battery-backed
+/// modes.
 pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, String> {
+    let mut reader = image.reader();
     let mut recovered = 0u64;
-    for tenant in 0..layout.tenants {
-        for idx in 0..layout.cap_per_tenant {
-            let slot = layout.slot_addr(tenant, idx);
-            let tag = image.read_u64(slot);
-            if tag == 0 {
-                // Never populated (insert headroom, or a torn insert whose
-                // publish-last tag did not land).
-                if idx < layout.initial_per_tenant {
-                    return Err(format!(
-                        "tenant {tenant} key {idx}: initial slot lost its tag"
-                    ));
-                }
-                continue;
-            }
-            if tag != layout.tag_of(tenant, idx) {
+    for (tenant, idx, slot) in layout.slots_by_address() {
+        let tag = reader.read_u64(slot);
+        if tag == 0 {
+            // Never populated (insert headroom, or a torn insert whose
+            // publish-last tag did not land).
+            if idx < layout.initial_per_tenant {
                 return Err(format!(
-                    "tenant {tenant} key {idx}: bad tag {tag:#x} at {slot:#x}"
+                    "tenant {tenant} key {idx}: initial slot lost its tag"
                 ));
             }
-            let version = image.read_u64(slot + 8);
-            let payload = image.read_u64(slot + 16);
-            if version == 0 {
-                return Err(format!(
-                    "tenant {tenant} key {idx}: tagged slot at version 0"
-                ));
-            }
-            let lo = version.saturating_sub(RACE_WINDOW);
-            let hi = version + RACE_WINDOW;
-            let consistent = (lo..=hi).any(|v| layout.payload_of(tenant, idx, v) == payload);
-            if !consistent {
-                return Err(format!(
-                    "tenant {tenant} key {idx}: payload {payload:#x} matches no version near {version}"
-                ));
-            }
-            recovered += 1;
+            continue;
         }
+        if tag != layout.tag_of(tenant, idx) {
+            return Err(format!(
+                "tenant {tenant} key {idx}: bad tag {tag:#x} at {slot:#x}"
+            ));
+        }
+        let version = reader.read_u64(slot + 8);
+        let payload = reader.read_u64(slot + 16);
+        if version == 0 {
+            return Err(format!(
+                "tenant {tenant} key {idx}: tagged slot at version 0"
+            ));
+        }
+        let lo = version.saturating_sub(RACE_WINDOW);
+        let hi = version + RACE_WINDOW;
+        let consistent = (lo..=hi).any(|v| layout.payload_of(tenant, idx, v) == payload);
+        if !consistent {
+            return Err(format!(
+                "tenant {tenant} key {idx}: payload {payload:#x} matches no version near {version}"
+            ));
+        }
+        recovered += 1;
     }
     Ok(recovered)
 }
@@ -467,6 +538,110 @@ mod tests {
         for idx in 0..layout.cap_per_tenant {
             assert!(seen.insert(layout.slot_addr(0, idx)));
         }
+    }
+
+    /// The reference warm start: three in-place word writes per initial
+    /// key, in logical order.
+    fn setup_per_slot(layout: &KvLayout, arch: &mut ByteStore) {
+        for tenant in 0..layout.tenants {
+            for idx in 0..layout.initial_per_tenant {
+                let slot = layout.slot_addr(tenant, idx);
+                arch.write_u64(slot, layout.tag_of(tenant, idx));
+                arch.write_u64(slot + 8, 1);
+                arch.write_u64(slot + 16, layout.payload_of(tenant, idx, 1));
+            }
+        }
+    }
+
+    /// Layouts covering unaligned bases, odd tenant counts, tenant regions
+    /// smaller than a page, partitions that are not powers of two, and
+    /// headroom so wide that most pages hold no live slot.
+    fn layouts() -> Vec<KvLayout> {
+        let mut out = Vec::new();
+        for k in [0, 1, 37, 63] {
+            for tenants in [1, 3, 4] {
+                for (keys, inserts) in [(7, 0), (1000, 100), (3000, 5000), (10, 20_000)] {
+                    out.push(KvLayout::new(0x1000 + 64 * k, keys, tenants, inserts));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn address_walk_visits_every_slot_once_in_order() {
+        for layout in layouts() {
+            let walk: Vec<(usize, u64, Addr)> = layout.slots_by_address().collect();
+            assert_eq!(
+                walk.len() as u64,
+                layout.tenants as u64 * layout.cap_per_tenant
+            );
+            assert!(walk.windows(2).all(|w| w[0].2 < w[1].2), "{layout:?}");
+            let mut keys = std::collections::HashSet::new();
+            for &(tenant, idx, slot) in &walk {
+                assert_eq!(slot, layout.slot_addr(tenant, idx), "{layout:?}");
+                assert!(
+                    keys.insert((tenant, idx)),
+                    "{layout:?}: ({tenant}, {idx}) twice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn page_order_setup_matches_per_slot_writes() {
+        let fill = [0xA5u8; 2 * PAGE_BYTES];
+        for layout in layouts() {
+            // Non-zero bytes before and after the region, on its edge pages
+            // (and beyond), and inside one slot's unused tail: all must
+            // survive.
+            let mut reference = ByteStore::new();
+            reference.write(layout.base - PAGE_BYTES as u64, &fill[..PAGE_BYTES]);
+            reference.write(layout.base + layout.bytes(), &fill);
+            reference.write(layout.slot_addr(0, 0) + 24, &fill[..40]);
+            let mut paged = reference.clone();
+
+            setup_per_slot(&layout, &mut reference);
+            let spec = KvSpec {
+                keys: layout.initial_per_tenant * layout.tenants as u64,
+                tenants: layout.tenants,
+                ..spec(KvMix::A)
+            };
+            KvWorkload::new(layout, spec, 2).setup(&mut paged);
+
+            assert_eq!(
+                paged.resident_pages(),
+                reference.resident_pages(),
+                "{layout:?}"
+            );
+            assert!(paged == reference, "{layout:?}: contents differ");
+        }
+    }
+
+    #[test]
+    fn recovery_names_the_lowest_address_bad_slot() {
+        let layout = KvLayout::new(0x1000, 1000, 3, 100);
+        let mut store = ByteStore::new();
+        setup_per_slot(&layout, &mut store);
+        let n = check_kv_recovery(&NvmImage::from_store(store.clone()), &layout);
+        assert_eq!(n, Ok(layout.initial_per_tenant * 3));
+
+        // Corrupt two initial slots' payloads; the error names the one at
+        // the lower address, whatever their logical order.
+        let (a, b) = ((1, 5), (1, 6));
+        let (lo, hi) = if layout.slot_addr(a.0, a.1) < layout.slot_addr(b.0, b.1) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        for (tenant, idx) in [lo, hi] {
+            store.write_u64(layout.slot_addr(tenant, idx) + 16, 0xBAD);
+        }
+        let err = check_kv_recovery(&NvmImage::from_store(store), &layout).unwrap_err();
+        assert!(
+            err.starts_with(&format!("tenant {} key {}:", lo.0, lo.1)),
+            "{err}"
+        );
     }
 
     #[test]
