@@ -372,7 +372,9 @@ impl Bbpb {
 
     /// Drops every entry without writing anything — a crash with the
     /// battery disconnected, where the "persist" buffer turns out to be
-    /// plain volatile SRAM. Returns the entries lost.
+    /// plain volatile SRAM, or the end of a battery-backed crash once the
+    /// system has written the entries to NVMM. Returns the entries
+    /// dropped.
     pub fn crash_discard(&mut self) -> u64 {
         let lost = self.resident.len() as u64;
         if lost > 0 {
@@ -388,23 +390,6 @@ impl Bbpb {
     #[must_use]
     pub fn forced_drain_count(&self) -> u64 {
         self.forced_drains.get()
-    }
-
-    /// Drains everything now (flush-on-fail at a crash). Returns the number
-    /// of blocks written.
-    pub fn crash_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> u64 {
-        let mut n = 0;
-        while let Some(b) = self.pop_oldest() {
-            let entry = self.resident.remove(&b).expect("live ticket is resident");
-            mem.write_block(now, b, entry.data);
-            n += 1;
-        }
-        if n > 0 {
-            self.version += 1;
-        }
-        self.fifo.clear();
-        self.in_flight.clear();
-        n
     }
 
     /// Exports counters under the `bbpb.` prefix.
@@ -634,41 +619,6 @@ mod tests {
         assert_eq!(n.crash_image().read_block(b(9)), [0x77; 64]);
         assert!(!p.force_drain(6, b(9), &mut n), "already gone");
         assert_eq!(p.stats().get("bbpb.forced_drains"), 1);
-    }
-
-    #[test]
-    fn crash_drain_flushes_everything() {
-        let mut n = nvmm();
-        let mut p = pb(8, 100);
-        for i in 0..5 {
-            p.allocate(0, b(i), [i as u8; 64], &mut n);
-        }
-        let drained = p.crash_drain(100, &mut n);
-        assert_eq!(drained, 5);
-        assert_eq!(p.occupancy(100), 0);
-        for i in 0..5 {
-            assert_eq!(n.crash_image().read_block(b(i)), [i as u8; 64]);
-        }
-    }
-
-    #[test]
-    fn crash_drain_of_completely_full_buffer() {
-        // Satellite coverage: crash at occupancy == capacity. Filling goes
-        // through the migration path because threshold draining would
-        // otherwise strip entries as they land.
-        let mut n = nvmm();
-        let mut p = pb(4, 100);
-        for i in 0..4 {
-            p.insert_moved(0, b(i), [i as u8 + 1; 64], &mut n);
-        }
-        assert_eq!(p.occupancy(0), p.capacity(), "buffer truly full");
-        assert_eq!(n.endurance().total_writes(), 0, "nothing drained yet");
-        let drained = p.crash_drain(50, &mut n);
-        assert_eq!(drained, 4);
-        assert_eq!(p.occupancy(50), 0);
-        for i in 0..4 {
-            assert_eq!(n.crash_image().read_block(b(i)), [i as u8 + 1; 64]);
-        }
     }
 
     #[test]

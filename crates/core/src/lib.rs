@@ -64,5 +64,5 @@ pub use mode::PersistencyMode;
 pub use persist::PersistState;
 pub use procside::{ProcSidePb, StoreEntry};
 pub use stream::{OpStream, StreamWorkload};
-pub use system::{EventProbe, RunCursor, RunSummary, StopAt, System, SystemError};
+pub use system::{EventProbe, ProbeKind, RunCursor, RunSummary, StopAt, System, SystemError};
 pub use workload::Workload;

@@ -7,7 +7,7 @@
 //! itself: each core's ops wait in a queue, and a core whose turn has
 //! not come receives short [`Op::Compute`] stalls until the scheduled
 //! predecessor op has been issued. This lets the crash-point sweep
-//! machinery ([`crate::System::run_until`], `run_probed_stores`) replay
+//! machinery ([`crate::System::run_until`], [`crate::System::run_probed`]) replay
 //! a litmus schedule cycle-accurately, crashing *inside* ops rather
 //! than only at op boundaries.
 

@@ -204,6 +204,18 @@ impl PersistState {
         &mut self.procpbs[core]
     }
 
+    /// Empties every persist buffer without writing anything: the last
+    /// step of a crash, after the system has written whatever of their
+    /// contents the persistence domain covers.
+    pub(crate) fn crash_discard(&mut self) {
+        for pb in &mut self.bbpbs {
+            pb.crash_discard();
+        }
+        for pb in &mut self.procpbs {
+            pb.crash_discard();
+        }
+    }
+
     /// The core whose bbPB currently holds `block`, if any. Invariant 4
     /// (paper §III-D) requires at most one.
     ///

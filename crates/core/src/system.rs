@@ -19,13 +19,14 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::iter::Peekable;
 
 use bbb_cache::CacheHierarchy;
 use bbb_cpu::{CoreState, Op, SbEntry};
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{
     merge_logs, AddressMap, BlockAddr, Cycle, EventKind, EventQueue, MemoryPort, SchedProfile,
-    SimConfig, Stats, TraceEvent, TraceLog,
+    SimConfig, Stats, TraceEvent, TraceLog, BLOCK_BYTES,
 };
 
 use crate::crash::CrashCost;
@@ -141,17 +142,21 @@ impl RunCursor {
     }
 }
 
-/// What a probed run ([`System::run_probed`] family) records boundary
-/// cycles for. Kept separate from [`EventProbe`] on purpose: adding fields
-/// to the probe struct would change boundary detection — and therefore the
-/// committed sweep artifacts — for every existing workload.
+/// What [`System::run_probed`] records boundary cycles for. Kept separate
+/// from [`EventProbe`] on purpose: adding fields to the probe struct would
+/// change boundary detection — and therefore the committed sweep
+/// artifacts — for every existing workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeKind {
+pub enum ProbeKind {
     /// Persist-relevant ordering events (fences, forced drains, WPQ
-    /// backpressure): the default crash-point planner signal.
+    /// backpressure): the default crash-point planner signal, sampled as
+    /// [`System::probe_events`].
     Ordering,
     /// Committed persisting stores: the store-granular grid the pstore
-    /// protocol sweep crashes on.
+    /// protocol sweep crashes on. A store-granular protocol (plain
+    /// stores, no fences under BBB) has its interesting crash points at
+    /// store boundaries, which the ordering probe cannot see at all on a
+    /// battery-backed machine.
     PersistingStores,
 }
 
@@ -174,6 +179,74 @@ enum FoldOutcome {
     Yielded,
     /// The queue's run of compute ops ended; keep stepping this core.
     RanDry,
+}
+
+/// A structure whose contents survive a power failure: the entries of
+/// [`System::persist_domain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Survivor {
+    /// eADR's dirty NVMM cache blocks, flushed whole.
+    DirtyLines,
+    /// Each core's memory-side bbPB, blocks in FIFO order.
+    Bbpbs,
+    /// Each core's processor-side buffer, stores merged by τ.
+    ProcPbs,
+    /// Battery-backed store buffers, persistent stores merged by τ.
+    StoreBuffers,
+}
+
+/// One write the persistence domain owes NVMM at a crash.
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    /// A whole block (a dirty line or a bbPB entry).
+    Block(BlockAddr, [u8; BLOCK_BYTES]),
+    /// One buffered store, read-modify-written into its block; `core`
+    /// is the core whose buffer holds it.
+    Store {
+        core: usize,
+        block: BlockAddr,
+        offset: usize,
+        len: usize,
+        bytes: [u8; 8],
+    },
+}
+
+/// Merges per-core FIFO queues of buffered stores, each read as `(commit
+/// cycle, per-core sequence, block, offset, len, bytes)`, in coherence
+/// order τ = (commit cycle, core index, per-core sequence). Only queue
+/// fronts are compared, so each core's own order is kept even where it is
+/// not τ-sorted (a relaxed store-buffer drain can feed a processor-side
+/// buffer out of commit order). Empty queues are dropped up front, so
+/// merging nothing allocates nothing.
+fn merge_by_tau<Q>(queues: impl Iterator<Item = Q>, mut visit: impl FnMut(Write))
+where
+    Q: Iterator<Item = (Cycle, u64, BlockAddr, usize, usize, [u8; 8])>,
+{
+    let mut fronts: Vec<(usize, Peekable<Q>)> = queues
+        .map(Iterator::peekable)
+        .enumerate()
+        .filter_map(|(core, mut q)| q.peek().is_some().then_some((core, q)))
+        .collect();
+    loop {
+        let next = fronts
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, (core, q))| {
+                q.peek()
+                    .map(|&(committed, seq, ..)| ((committed, *core, seq), i))
+            })
+            .min();
+        let Some((_, i)) = next else { break };
+        let (core, q) = &mut fronts[i];
+        let (_, _, block, offset, len, bytes) = q.next().expect("peeked front");
+        visit(Write::Store {
+            core: *core,
+            block,
+            offset,
+            len,
+            bytes,
+        });
+    }
 }
 
 /// Monotone event counters sampled between ops — the cheap signal a
@@ -477,62 +550,23 @@ impl System {
         self.run_inner(Feed::Stream(stream), cursor, stop, None)
     }
 
-    /// [`System::run_probed`] for a pull-based [`OpStream`]: records the
-    /// cycle at which the monotone [`EventProbe`] counters first changed
-    /// after each committed op — the crash-point planner signal, fed
-    /// directly from a stream.
-    pub fn run_stream_probed(
-        &mut self,
-        stream: &mut dyn OpStream,
-        cursor: &mut RunCursor,
-        event_cycles: &mut Vec<Cycle>,
-    ) -> RunSummary {
-        self.run_inner(
-            Feed::Stream(stream),
-            cursor,
-            StopAt::End,
-            Some((event_cycles, ProbeKind::Ordering)),
-        )
-    }
-
     /// Runs the workload to completion while recording, after each
-    /// committed op, the cycle at which the monotone [`EventProbe`]
-    /// counters first changed. Equivalent to stepping one op at a time
-    /// with [`System::run_until`] and sampling [`System::probe_events`]
-    /// between steps — the crash-point planner's reference pass — but
-    /// without a scheduler entry/exit and heap re-seed per op.
+    /// committed op, the cycle at which the `kind` signal moved — the
+    /// crash-point planner's reference pass. Equivalent to stepping one op
+    /// at a time with [`System::run_until`] and sampling between steps,
+    /// but without a scheduler entry/exit and heap re-seed per op.
     pub fn run_probed(
         &mut self,
         workload: &mut dyn Workload,
         cursor: &mut RunCursor,
         event_cycles: &mut Vec<Cycle>,
+        kind: ProbeKind,
     ) -> RunSummary {
         self.run_inner(
             Feed::Batch(workload),
             cursor,
             StopAt::End,
-            Some((event_cycles, ProbeKind::Ordering)),
-        )
-    }
-
-    /// Like [`System::run_probed`], but records the cycle after every
-    /// committed *persisting store* instead of after ordering events. The
-    /// pstore crash sweep plans on this grid: a store-granular protocol
-    /// (plain stores, no fences under BBB) has its interesting crash
-    /// points at store boundaries, which the ordering probe — fences,
-    /// forced drains, WPQ backpressure — cannot see at all on a
-    /// battery-backed machine.
-    pub fn run_probed_stores(
-        &mut self,
-        workload: &mut dyn Workload,
-        cursor: &mut RunCursor,
-        event_cycles: &mut Vec<Cycle>,
-    ) -> RunSummary {
-        self.run_inner(
-            Feed::Batch(workload),
-            cursor,
-            StopAt::End,
-            Some((event_cycles, ProbeKind::PersistingStores)),
+            Some((event_cycles, kind)),
         )
     }
 
@@ -945,73 +979,11 @@ impl System {
         self.bump_audit(1);
     }
 
-    /// Injects a power failure *now*: drains exactly the active persistence
-    /// domain (per mode) to NVMM and returns the post-crash image recovery
-    /// code would see.
+    /// Injects a power failure *now*: writes exactly the active
+    /// persistence domain to NVMM and returns the post-crash image
+    /// recovery code would see.
     pub fn crash_now(&mut self) -> NvmImage {
-        let now = self.now_max;
-        let mode = self.persist.mode();
-        self.memories.nvmm_mut().note_crash(now, true);
-        match mode {
-            PersistencyMode::Pmem => {
-                // ADR: only the WPQ survives (already merged into media).
-            }
-            PersistencyMode::Eadr => {
-                for (block, data, _) in self.hierarchy.dirty_blocks() {
-                    if self.memories.map().is_nvmm(block.base()) {
-                        self.memories.nvmm_mut().write(now, block, data);
-                    }
-                }
-                self.crash_drain_store_buffers(now);
-            }
-            PersistencyMode::BbbMemorySide => {
-                for c in 0..self.cores.len() {
-                    self.persist
-                        .bbpb_mut(c)
-                        .crash_drain(now, self.memories.nvmm_mut());
-                }
-                self.crash_drain_store_buffers(now);
-            }
-            PersistencyMode::BbbProcessorSide => {
-                // Cross-core k-way merge by each buffer's front τ tag:
-                // per-core FCFS is preserved (fronts only), and same-line
-                // conflicts across cores resolve in coherence order rather
-                // than core index. The coherence hooks drain a core's
-                // entries for a block before another core can own the line,
-                // so cross-core procPB conflicts cannot arise in practice —
-                // this canonicalizes the order defensively.
-                loop {
-                    let next = (0..self.cores.len())
-                        .filter_map(|c| {
-                            self.persist
-                                .procpb(c)
-                                .front_tau()
-                                .map(|(committed, seq)| (committed, c, seq))
-                        })
-                        .min();
-                    let Some((_, c, _)) = next else { break };
-                    self.persist
-                        .procpb_mut(c)
-                        .crash_drain_oldest(now, self.memories.nvmm_mut());
-                }
-                for c in 0..self.cores.len() {
-                    // Buffers are empty; this clears in-flight drains.
-                    self.persist
-                        .procpb_mut(c)
-                        .crash_drain(now, self.memories.nvmm_mut());
-                }
-                self.crash_drain_store_buffers(now);
-            }
-            PersistencyMode::Bep => {
-                // Volatile persist buffers: their contents are LOST. Only
-                // the WPQ survives — durability holds only up to the last
-                // completed epoch barrier.
-                for c in 0..self.cores.len() {
-                    self.persist.procpb_mut(c).crash_discard();
-                }
-            }
-        }
-        self.memories.crash_image()
+        self.crash(true)
     }
 
     /// Injects a power failure with the battery disconnected or dead: the
@@ -1025,20 +997,39 @@ impl System {
     /// exhibit lost updates relative to [`System::crash_now`] at the same
     /// point, proving the recovery checkers detect real inconsistency.
     pub fn crash_now_battery_dropped(&mut self) -> NvmImage {
-        self.memories.nvmm_mut().note_crash(self.now_max, false);
-        for c in 0..self.cores.len() {
-            match self.persist.mode() {
-                PersistencyMode::BbbMemorySide => {
-                    self.persist.bbpb_mut(c).crash_discard();
+        self.crash(false)
+    }
+
+    /// The destructive crash: every surviving write goes through the NVMM
+    /// controller (whole blocks as writes, buffered stores as
+    /// read-modify-writes), then every persist buffer and store buffer is
+    /// emptied — drained or lost, nothing stays behind.
+    fn crash(&mut self, battery_ok: bool) -> NvmImage {
+        let now = self.now_max;
+        self.memories.nvmm_mut().note_crash(now, battery_ok);
+        let mut writes = Vec::new();
+        self.surviving_writes(battery_ok, |from, w| writes.push((from, w)));
+        for (from, w) in writes {
+            let nvmm = self.memories.nvmm_mut();
+            match w {
+                Write::Block(block, data) => {
+                    nvmm.write(now, block, data);
                 }
-                PersistencyMode::BbbProcessorSide | PersistencyMode::Bep => {
-                    self.persist.procpb_mut(c).crash_discard();
+                Write::Store {
+                    core,
+                    block,
+                    offset,
+                    len,
+                    bytes,
+                } => {
+                    nvmm.rmw_block(now, block, offset, &bytes[..len]);
+                    if from == Survivor::ProcPbs {
+                        self.persist.procpb_mut(core).note_crash_drain(now, block);
+                    }
                 }
-                PersistencyMode::Pmem | PersistencyMode::Eadr => {}
             }
         }
-        // Store buffers are volatile without the battery: discard, never
-        // drain — and eADR's flush-on-fail cache drain never happens.
+        self.persist.crash_discard();
         for core in &mut self.cores {
             core.sb.drain_all();
         }
@@ -1046,7 +1037,7 @@ impl System {
     }
 
     /// The post-crash image if power failed *now*, without crashing: the
-    /// persist-domain contents that would drain (per mode, same order as
+    /// persistence domain's writes (same list, same order as
     /// [`System::crash_now`]) are overlaid onto a copy-on-write snapshot
     /// of NVMM media, so the live system is untouched and unshared pages
     /// are never copied. With `battery_ok == false` every battery-backed
@@ -1059,53 +1050,16 @@ impl System {
     #[must_use]
     pub fn crash_image(&self, battery_ok: bool) -> NvmImage {
         let mut media = self.memories.nvmm().media_snapshot();
-        if battery_ok {
-            match self.persist.mode() {
-                PersistencyMode::Pmem => {
-                    // ADR: only the WPQ survives (already merged into media).
-                }
-                PersistencyMode::Eadr => {
-                    for (block, data, _) in self.hierarchy.dirty_blocks() {
-                        if self.memories.map().is_nvmm(block.base()) {
-                            media.write_block(block, &data);
-                        }
-                    }
-                    self.overlay_store_buffers(&mut media);
-                }
-                PersistencyMode::BbbMemorySide => {
-                    for c in 0..self.cores.len() {
-                        for (block, data) in self.persist.bbpb(c).drain_set() {
-                            media.write_block(block, &data);
-                        }
-                    }
-                    self.overlay_store_buffers(&mut media);
-                }
-                PersistencyMode::BbbProcessorSide => {
-                    // Same cross-core k-way front-τ merge as
-                    // [`System::crash_now`], over borrowed entry slices.
-                    let pbs: Vec<Vec<&crate::StoreEntry>> = (0..self.cores.len())
-                        .map(|c| self.persist.procpb(c).iter().collect())
-                        .collect();
-                    let mut heads = vec![0usize; pbs.len()];
-                    loop {
-                        let next = pbs
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(c, pb)| pb.get(heads[c]).map(|e| (e.committed, c, e.seq)))
-                            .min();
-                        let Some((_, c, _)) = next else { break };
-                        let e = pbs[c][heads[c]];
-                        heads[c] += 1;
-                        media.write(e.block.base() + e.offset as u64, &e.bytes[..e.len]);
-                    }
-                    self.overlay_store_buffers(&mut media);
-                }
-                PersistencyMode::Bep => {
-                    // Volatile persist buffers: contents lost even with the
-                    // battery; only the WPQ (in media) survives.
-                }
-            }
-        }
+        self.surviving_writes(battery_ok, |_, w| match w {
+            Write::Block(block, data) => media.write_block(block, &data),
+            Write::Store {
+                block,
+                offset,
+                len,
+                bytes,
+                ..
+            } => media.write(block.base() + offset as u64, &bytes[..len]),
+        });
         NvmImage::from_store(media)
     }
 
@@ -1114,51 +1068,86 @@ impl System {
     /// are byte-identical, so a crash-point sweep can reuse the previous
     /// point's recovery verdict without snapshotting again.
     ///
-    /// Soundness: each summand is a monotone per-structure mutation
-    /// counter (media, battery-backed store buffers, persist buffers, or
-    /// the cache hierarchy for eADR), so an unchanged *sum* implies every
-    /// summand — hence every structure the image derives from — is
-    /// unchanged. The converse does not hold (a counter can bump without
-    /// changing image bytes); a changed epoch only costs a fresh snapshot.
+    /// Soundness: each summand is a monotone mutation counter of media or
+    /// of one structure in the persistence domain, so an unchanged
+    /// *sum* implies every summand — hence every structure the image
+    /// derives from — is unchanged. The converse does not hold (a counter
+    /// can bump without changing image bytes); a changed epoch only costs
+    /// a fresh snapshot.
     #[must_use]
     pub fn crash_image_epoch(&self, battery_ok: bool) -> u64 {
         let media = self.memories.nvmm().media_version();
-        if !battery_ok {
-            // Battery dropped: the image is the media snapshot alone.
-            return media;
-        }
-        let sb: u64 = if self.cfg.battery_backed_sb {
-            self.cores.iter().map(|c| c.sb.version()).sum()
-        } else {
-            0
-        };
-        match self.persist.mode() {
-            // Only the WPQ survives, and it is already merged into media.
-            PersistencyMode::Pmem | PersistencyMode::Bep => media,
-            PersistencyMode::Eadr => media + sb + self.hierarchy.version(),
-            PersistencyMode::BbbMemorySide | PersistencyMode::BbbProcessorSide => {
-                media + sb + self.persist.buffers_version()
-            }
-        }
+        let domain: u64 = self
+            .persist_domain(battery_ok)
+            .map(|from| match from {
+                Survivor::DirtyLines => self.hierarchy.version(),
+                Survivor::Bbpbs | Survivor::ProcPbs => self.persist.buffers_version(),
+                Survivor::StoreBuffers => self.cores.iter().map(|c| c.sb.version()).sum(),
+            })
+            .sum();
+        media + domain
     }
 
-    /// Overlays persistent store-buffer entries onto a media snapshot in
-    /// coherence order τ = (commit cycle, core index, per-core sequence) —
-    /// the non-destructive mirror of
-    /// [`System::crash_drain_store_buffers`].
-    fn overlay_store_buffers(&self, media: &mut ByteStore) {
-        if !self.cfg.battery_backed_sb {
-            return;
-        }
-        let mut entries: Vec<(Cycle, usize, u64, &SbEntry)> = Vec::new();
-        for (c, core) in self.cores.iter().enumerate() {
-            for e in core.sb.iter().filter(|e| e.persistent) {
-                entries.push((e.committed, c, e.seq, e));
+    /// The persistence domain: the structures whose contents survive a
+    /// power failure now, in the order a crash writes them to NVMM. NVMM
+    /// media, with the ADR'd WPQ already merged into it, always survives
+    /// and is not listed. This is the one definition every crash path —
+    /// destructive, imaged, fingerprinted and costed — reads.
+    fn persist_domain(&self, battery_ok: bool) -> impl Iterator<Item = Survivor> {
+        let buffers = match self.persist.mode() {
+            _ if !battery_ok => None,
+            // ADR only, or volatile persist buffers: media alone.
+            PersistencyMode::Pmem | PersistencyMode::Bep => None,
+            PersistencyMode::Eadr => Some(Survivor::DirtyLines),
+            PersistencyMode::BbbMemorySide => Some(Survivor::Bbpbs),
+            PersistencyMode::BbbProcessorSide => Some(Survivor::ProcPbs),
+        };
+        let sbs =
+            (buffers.is_some() && self.cfg.battery_backed_sb).then_some(Survivor::StoreBuffers);
+        buffers.into_iter().chain(sbs)
+    }
+
+    /// Visits every write the persistence domain owes NVMM, in the order a
+    /// crash issues them: structure by structure as
+    /// [`System::persist_domain`] lists them. Buffered stores across cores
+    /// merge in coherence order τ = (commit cycle, core index, per-core
+    /// sequence), never by bare core index (DESIGN.md §9.4, resolved
+    /// ledger item 1).
+    fn surviving_writes(&self, battery_ok: bool, mut visit: impl FnMut(Survivor, Write)) {
+        for from in self.persist_domain(battery_ok) {
+            match from {
+                Survivor::DirtyLines => {
+                    for (block, data, _) in self.hierarchy.dirty_blocks() {
+                        if self.memories.map().is_nvmm(block.base()) {
+                            visit(from, Write::Block(block, data));
+                        }
+                    }
+                }
+                Survivor::Bbpbs => {
+                    for c in 0..self.cores.len() {
+                        for (block, data) in self.persist.bbpb(c).drain_set() {
+                            visit(from, Write::Block(block, data));
+                        }
+                    }
+                }
+                Survivor::ProcPbs => merge_by_tau(
+                    (0..self.cores.len()).map(|c| {
+                        self.persist
+                            .procpb(c)
+                            .iter()
+                            .map(|e| (e.committed, e.seq, e.block, e.offset, e.len, e.bytes))
+                    }),
+                    |w| visit(from, w),
+                ),
+                Survivor::StoreBuffers => merge_by_tau(
+                    self.cores.iter().map(|c| {
+                        c.sb.iter()
+                            .filter(|e| e.persistent)
+                            .map(|e| (e.committed, e.seq, e.block, e.offset, e.len, e.bytes))
+                    }),
+                    |w| visit(from, w),
+                ),
             }
-        }
-        entries.sort_unstable_by_key(|&(committed, core, seq, _)| (committed, core, seq));
-        for (_, _, _, e) in entries {
-            media.write(e.block.base() + e.offset as u64, &e.bytes[..e.len]);
         }
     }
 
@@ -1185,46 +1174,28 @@ impl System {
     }
 
     /// The flush-on-fail drain set if power failed right now (for the
-    /// energy model), without mutating anything.
+    /// energy model), without mutating anything: the persistence domain's
+    /// writes, counted per structure.
     #[must_use]
     pub fn crash_cost(&self) -> CrashCost {
-        let mode = self.persist.mode();
-        let sb_in_domain = !matches!(mode, PersistencyMode::Pmem | PersistencyMode::Bep)
-            && self.cfg.battery_backed_sb;
-        let (sb_entries, sb_bytes) = if sb_in_domain {
-            let mut entries = 0u64;
-            let mut bytes = 0u64;
-            for c in &self.cores {
-                for e in c.sb.iter().filter(|e| e.persistent) {
-                    entries += 1;
-                    bytes += e.len as u64;
-                }
-            }
-            (entries, bytes)
-        } else {
-            (0, 0)
-        };
-        let dirty_cache_blocks = if mode == PersistencyMode::Eadr {
-            self.hierarchy
-                .dirty_blocks()
-                .iter()
-                .filter(|(b, _, _)| self.memories.map().is_nvmm(b.base()))
-                .count() as u64
-        } else {
-            0
-        };
-        CrashCost {
-            mode,
-            bbpb_entries: if mode.has_bbpb() {
-                self.persist.total_resident_entries()
-            } else {
-                0
-            },
-            sb_entries,
-            sb_bytes,
-            dirty_cache_blocks,
+        let mut cost = CrashCost {
+            mode: self.persist.mode(),
+            bbpb_entries: 0,
+            sb_entries: 0,
+            sb_bytes: 0,
+            dirty_cache_blocks: 0,
             wpq_blocks: self.memories.nvmm().wpq_occupancy(self.now_max) as u64,
-        }
+        };
+        self.surviving_writes(true, |from, w| match (from, w) {
+            (Survivor::DirtyLines, _) => cost.dirty_cache_blocks += 1,
+            (Survivor::Bbpbs | Survivor::ProcPbs, _) => cost.bbpb_entries += 1,
+            (Survivor::StoreBuffers, Write::Store { len, .. }) => {
+                cost.sb_entries += 1;
+                cost.sb_bytes += len as u64;
+            }
+            (Survivor::StoreBuffers, Write::Block(..)) => unreachable!("SB entries are stores"),
+        });
+        cost
     }
 
     /// Persistent blocks that are dirty in the persistence-mode's holding
@@ -1236,21 +1207,16 @@ impl System {
     #[must_use]
     pub fn residual_persist_blocks(&self) -> u64 {
         match self.persist.mode() {
-            PersistencyMode::Eadr => self
-                .hierarchy
-                .dirty_blocks()
-                .iter()
-                .filter(|(_, _, persistent)| *persistent)
-                .count() as u64,
             PersistencyMode::BbbMemorySide | PersistencyMode::BbbProcessorSide => {
                 self.persist.total_resident_entries()
             }
-            PersistencyMode::Pmem | PersistencyMode::Bep => self
-                .hierarchy
-                .dirty_blocks()
-                .iter()
-                .filter(|(_, _, persistent)| *persistent)
-                .count() as u64,
+            PersistencyMode::Eadr | PersistencyMode::Pmem | PersistencyMode::Bep => {
+                self.hierarchy
+                    .dirty_blocks()
+                    .iter()
+                    .filter(|(_, _, persistent)| *persistent)
+                    .count() as u64
+            }
         }
     }
 
@@ -1445,39 +1411,6 @@ impl System {
         self.cores[core].sb_drain_busy_until = done;
         self.now_max = self.now_max.max(done);
         done
-    }
-
-    /// Crash path: persistent SB entries drain when the SB is battery
-    /// backed. Cross-core conflicts resolve by the entries' coherence
-    /// order τ = (commit cycle, core index, per-core sequence) — the same
-    /// key [`System::drain_all_store_buffers`] merges by — never by bare
-    /// core index (DESIGN.md §9.4, resolved ledger item 1). Returns the
-    /// bytes actually moved to NVMM — each entry contributes its store
-    /// length (1–8 bytes), the same figure [`CrashCost::drain_bytes`]
-    /// charges.
-    fn crash_drain_store_buffers(&mut self, now: Cycle) -> u64 {
-        if !self.cfg.battery_backed_sb {
-            return 0;
-        }
-        // Each per-core SB is commit-ordered FIFO, so a flat sort by
-        // (committed, core, seq) is exactly the k-way τ merge.
-        let mut entries: Vec<(Cycle, usize, u64, SbEntry)> = Vec::new();
-        for (c, core) in self.cores.iter_mut().enumerate() {
-            for e in core.sb.drain_all() {
-                if e.persistent {
-                    entries.push((e.committed, c, e.seq, e));
-                }
-            }
-        }
-        entries.sort_unstable_by_key(|&(committed, core, seq, _)| (committed, core, seq));
-        let mut bytes = 0u64;
-        for (_, _, _, e) in entries {
-            bytes += e.len as u64;
-            self.memories
-                .nvmm_mut()
-                .rmw_block(now, e.block, e.offset, &e.bytes[..e.len]);
-        }
-        bytes
     }
 }
 
@@ -2043,64 +1976,100 @@ mod tests {
 
     /// The non-destructive `crash_image` must be byte-identical to forking
     /// the system and crashing the fork — for every mode, in both battery
-    /// states, both mid-flight (store buffers and persist buffers
-    /// occupied) and after the buffers drain (dirty caches under eADR,
-    /// resident bbPB entries under BBB).
+    /// states, with and without a battery-backed store buffer, on one core
+    /// and on two cores interleaving stores to shared lines (the
+    /// cross-core τ merge), both mid-flight (store buffers and persist
+    /// buffers occupied) and after the buffers drain (dirty caches under
+    /// eADR, resident bbPB entries under BBB).
     #[test]
     fn crash_image_matches_destructive_crash_across_modes() {
         for mode in PersistencyMode::ALL {
-            let mut s = sys(mode);
-            let a = pbase(&s);
-            let mut ops = Vec::new();
-            for i in 0..24u64 {
-                ops.push(Op::store_u64(a + i * 40, 0x1000 + i));
-                if mode.requires_flushes() && i % 3 == 0 {
-                    ops.push(Op::Clwb { addr: a + i * 40 });
-                    ops.push(Op::Fence);
+            for battery_backed_sb in [true, false] {
+                for cores in [1, 2] {
+                    let mut cfg = SimConfig::small_for_tests();
+                    cfg.battery_backed_sb = battery_backed_sb;
+                    let mut s = System::new(cfg, mode).unwrap();
+                    let a = pbase(&s);
+                    let case =
+                        format!("{mode}, battery_backed_sb={battery_backed_sb}, {cores} core(s)");
+                    // A 40-byte stride puts neighbouring stores — on
+                    // different cores when interleaved — into one line.
+                    for i in 0..24u64 {
+                        let core = (i % cores) as usize;
+                        s.step_op(core, &Op::store_u64(a + i * 40, 0x1000 + i));
+                        if mode.requires_flushes() && i % 3 == 0 {
+                            s.step_op(core, &Op::Clwb { addr: a + i * 40 });
+                            s.step_op(core, &Op::Fence);
+                        }
+                        if mode.requires_epoch_barriers() && i % 5 == 0 {
+                            s.step_op(core, &Op::Fence);
+                        }
+                    }
+
+                    // Mid-flight: store buffers may still hold entries.
+                    // Post-drain: persist domain holds the interesting state.
+                    for phase in ["mid-flight", "post-drain"] {
+                        if phase == "post-drain" {
+                            s.drain_all_store_buffers();
+                        }
+                        for battery_ok in [true, false] {
+                            let image = s.crash_image(battery_ok);
+                            let mut fork = s.clone();
+                            let destructive = if battery_ok {
+                                fork.crash_now()
+                            } else {
+                                fork.crash_now_battery_dropped()
+                            };
+                            assert_eq!(
+                                image, destructive,
+                                "{case}: {phase}, battery_ok={battery_ok}"
+                            );
+                        }
+                    }
+
+                    // crash_image is genuinely non-destructive: the live
+                    // system still produces the same destructive image
+                    // afterwards.
+                    let again = s.crash_image(true);
+                    let destructive = s.crash_now();
+                    assert_eq!(again, destructive, "{case}: live system undisturbed");
                 }
-                if mode.requires_epoch_barriers() && i % 5 == 0 {
-                    ops.push(Op::Fence);
-                }
             }
-            s.run_single_core(0, ops).unwrap();
-
-            // Mid-flight: store buffers may still hold entries.
-            for battery_ok in [true, false] {
-                let image = s.crash_image(battery_ok);
-                let mut fork = s.clone();
-                let destructive = if battery_ok {
-                    fork.crash_now()
-                } else {
-                    fork.crash_now_battery_dropped()
-                };
-                assert_eq!(
-                    image, destructive,
-                    "{mode}: mid-flight, battery_ok={battery_ok}"
-                );
-            }
-
-            // Post-drain: persist domain holds the interesting state.
-            s.drain_all_store_buffers();
-            for battery_ok in [true, false] {
-                let image = s.crash_image(battery_ok);
-                let mut fork = s.clone();
-                let destructive = if battery_ok {
-                    fork.crash_now()
-                } else {
-                    fork.crash_now_battery_dropped()
-                };
-                assert_eq!(
-                    image, destructive,
-                    "{mode}: post-drain, battery_ok={battery_ok}"
-                );
-            }
-
-            // crash_image is genuinely non-destructive: the live system
-            // still produces the same destructive image afterwards.
-            let again = s.crash_image(true);
-            let destructive = s.crash_now();
-            assert_eq!(again, destructive, "{mode}: live system undisturbed");
         }
+    }
+
+    /// A bbPB filled to capacity (a 100 % drain threshold keeps every
+    /// entry resident) drains every block at a battery-backed crash, as
+    /// plain NVMM writes with no ordered-drain accounting, and the crash
+    /// leaves it empty.
+    #[test]
+    fn crash_drains_a_completely_full_bbpb() {
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.bbpb.drain_policy = bbb_sim::DrainPolicy::Threshold { threshold_pct: 100 };
+        let capacity = cfg.bbpb.entries as u64;
+        let mut s = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
+        let a = pbase(&s);
+        let ops: Vec<Op> = (0..capacity)
+            .map(|i| Op::store_u64(a + i * 64, i + 1))
+            .collect();
+        s.run_single_core(0, ops).unwrap();
+        s.drain_all_store_buffers();
+        assert_eq!(s.crash_cost().bbpb_entries, capacity, "buffer truly full");
+        let before = s.stats();
+        assert_eq!(before.get("bbpb.drains"), 0, "nothing drained yet");
+
+        let img = s.crash_now();
+        for i in 0..capacity {
+            assert_eq!(img.read_u64(a + i * 64), i + 1, "block {i}");
+        }
+        let after = s.stats();
+        assert_eq!(
+            after.get("nvmm.writes") - before.get("nvmm.writes"),
+            capacity,
+            "one NVMM write per resident block"
+        );
+        assert_eq!(after.get("bbpb.drains"), 0);
+        assert_eq!(s.crash_cost().bbpb_entries, 0, "crash empties the bbPB");
     }
 
     #[test]
@@ -2245,7 +2214,7 @@ mod tests {
             let s1 = folded.run(&mut mk(), u64::MAX);
             let mut cursor = RunCursor::new(reference.cores.len());
             let mut sink = Vec::new();
-            let s2 = reference.run_probed(&mut mk(), &mut cursor, &mut sink);
+            let s2 = reference.run_probed(&mut mk(), &mut cursor, &mut sink, ProbeKind::Ordering);
             for c in 0..reference.cores.len() {
                 let t = reference.cores[c].ready_at;
                 reference.pump_sb(c, t);

@@ -6,12 +6,13 @@
 //! persist-buffer bursts are in flight. This module reuses the crash-
 //! point sweep machinery on a [`ScheduledOps`] bridge: a reference pass
 //! records the run length and every persisting-store boundary
-//! ([`bbb_core::System::run_probed_stores`]), [`plan_points`] straddles
-//! each boundary with dense/random filler, and a single forward pass
-//! takes a non-destructive [`bbb_core::System::crash_image`] at every
-//! planned cycle, memoized by [`bbb_core::System::crash_image_epoch`].
+//! ([`bbb_core::System::run_probed`] with [`ProbeKind::PersistingStores`]),
+//! [`plan_points`] straddles each boundary with dense/random filler, and
+//! a single forward pass takes a non-destructive
+//! [`bbb_core::System::crash_image`] at every planned cycle, memoized by
+//! [`bbb_core::System::crash_image_epoch`].
 
-use bbb_core::{NvmImage, Op, PersistencyMode, RunCursor, ScheduledOps, StopAt, System};
+use bbb_core::{NvmImage, Op, PersistencyMode, ProbeKind, RunCursor, ScheduledOps, StopAt, System};
 use bbb_sim::SimConfig;
 
 use crate::grid::{plan_points, GridSpec};
@@ -35,7 +36,12 @@ pub fn schedule_images(
     let mut w = ScheduledOps::new(ops, cfg.cores);
     let mut cursor = RunCursor::new(cfg.cores);
     let mut store_cycles = Vec::new();
-    sys.run_probed_stores(&mut w, &mut cursor, &mut store_cycles);
+    sys.run_probed(
+        &mut w,
+        &mut cursor,
+        &mut store_cycles,
+        ProbeKind::PersistingStores,
+    );
     let total = sys.cycle();
     let final_image = sys.crash_image(true);
     if total == 0 {

@@ -30,7 +30,7 @@
 //! sweep instead *requires* lost-update signatures: a checker that never
 //! flags a machine designed to lose data has no teeth.
 
-use bbb_core::{PersistencyMode, RunCursor, StopAt, System, Workload, PAGE_BYTES};
+use bbb_core::{PersistencyMode, ProbeKind, RunCursor, StopAt, System, Workload, PAGE_BYTES};
 use bbb_sim::{Cycle, SchedProfile, SimConfig};
 use bbb_workloads::suite::with_epoch_barriers;
 use bbb_workloads::{
@@ -228,11 +228,12 @@ pub fn reference_run(cfg: &SweepConfig) -> Reference {
     let (mut w, mut sys) = build(cfg);
     let mut cursor = RunCursor::new(cfg.cfg.cores);
     let mut event_cycles = Vec::new();
-    if cfg.store_boundaries {
-        sys.run_probed_stores(w.as_mut(), &mut cursor, &mut event_cycles);
+    let kind = if cfg.store_boundaries {
+        ProbeKind::PersistingStores
     } else {
-        sys.run_probed(w.as_mut(), &mut cursor, &mut event_cycles);
-    }
+        ProbeKind::Ordering
+    };
+    sys.run_probed(w.as_mut(), &mut cursor, &mut event_cycles, kind);
     Reference {
         total_cycles: sys.cycle(),
         total_ops: cursor.ops(),
