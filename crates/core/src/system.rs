@@ -89,21 +89,19 @@ pub enum StopAt {
     End,
 }
 
-/// Resumable state of a multi-core run: the per-core op queues and
-/// liveness that [`System::run`] keeps internally. Holding it outside the
-/// call lets a driver advance one run in increments via
+/// Resumable state of a multi-core run: the per-core op queues, liveness
+/// and op count that [`System::run`] keeps internally. Holding it outside
+/// the call lets a driver advance one run in increments via
 /// [`System::run_until`] and, between increments, crash-test clones of the
-/// machine without replaying from cycle zero.
+/// machine without replaying from cycle zero. Scheduling state is not
+/// part of it: each call schedules from the core clocks as it finds them.
 #[derive(Debug, Clone)]
 pub struct RunCursor {
     queues: Vec<VecDeque<Op>>,
     active: Vec<bool>,
     ops: u64,
-    /// Pending per-core completion events: at most one `(ready_at, core)`
-    /// entry per active core. Seeded lazily on the first
-    /// [`System::run_until`] call; stale entries (a core whose clock was
-    /// advanced between increments, e.g. by a crash-test driver) are
-    /// detected on pop and re-pushed at the current clock.
+    /// The run loop's event heap, kept here only so repeated calls reuse
+    /// its allocation; every call clears and reseeds it.
     events: EventQueue,
 }
 
@@ -129,16 +127,6 @@ impl RunCursor {
     #[must_use]
     pub fn finished(&self) -> bool {
         self.active.iter().all(|&a| !a)
-    }
-
-    /// Completion events currently queued. The scheduler's invariant is
-    /// one event per active core; lazy stale-event invalidation can
-    /// transiently exceed that, and the compaction pass in
-    /// [`System::run_until`] guarantees the count stays `O(cores)` on
-    /// arbitrarily long runs — tests assert against this accessor.
-    #[must_use]
-    pub fn queued_events(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -482,17 +470,7 @@ impl System {
     /// total ops have committed (`u64::MAX` for unlimited). Store buffers
     /// are pumped (not force-drained) at the end.
     pub fn run(&mut self, workload: &mut dyn Workload, op_budget: u64) -> RunSummary {
-        let mut cursor = RunCursor::new(self.cores.len());
-        let summary = self.run_until(workload, &mut cursor, StopAt::Ops(op_budget));
-        // Let in-progress drains finish pumping where possible.
-        for c in 0..self.cores.len() {
-            let t = self.cores[c].ready_at;
-            self.pump_sb(c, t);
-        }
-        RunSummary {
-            cycles: self.now_max,
-            ..summary
-        }
+        self.run_to_budget(Feed::Batch(workload), op_budget)
     }
 
     /// Advances a multi-threaded run until `stop` is reached or the
@@ -501,11 +479,10 @@ impl System {
     /// afterwards — a crash injected right after it returns sees the
     /// machine mid-flight, which is the point.
     ///
-    /// Scheduling is event-driven: the cursor carries a min-heap of
-    /// per-core completion events and each iteration pops the earliest
-    /// `(cycle, core)` pair — O(log cores) instead of the O(cores) scan
-    /// this replaces, with identical core choice (earliest clock, lowest
-    /// index on ties) and therefore identical observable behavior.
+    /// The core with the earliest clock steps next, the lowest index on
+    /// ties. Each call schedules from the core clocks as it finds them, so
+    /// a driver may move them between calls ([`System::step_op`],
+    /// [`System::drain_all_store_buffers`]).
     ///
     /// # Panics
     ///
@@ -524,8 +501,16 @@ impl System {
     /// exactly one op at a time — no per-request `Vec` is ever built, so
     /// the run's memory footprint is the generator's live state alone.
     pub fn run_stream(&mut self, stream: &mut dyn OpStream, op_budget: u64) -> RunSummary {
+        self.run_to_budget(Feed::Stream(stream), op_budget)
+    }
+
+    /// The body of [`System::run`] and [`System::run_stream`]: a fresh
+    /// run to completion or `op_budget` ops, then each store buffer is
+    /// pumped at its core's clock so in-progress drains finish where they
+    /// can.
+    fn run_to_budget(&mut self, feed: Feed<'_>, op_budget: u64) -> RunSummary {
         let mut cursor = RunCursor::new(self.cores.len());
-        let summary = self.run_stream_until(stream, &mut cursor, StopAt::Ops(op_budget));
+        let summary = self.run_inner(feed, &mut cursor, StopAt::Ops(op_budget), None);
         for c in 0..self.cores.len() {
             let t = self.cores[c].ready_at;
             self.pump_sb(c, t);
@@ -534,20 +519,6 @@ impl System {
             cycles: self.now_max,
             ..summary
         }
-    }
-
-    /// [`System::run_until`] for a pull-based [`OpStream`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor was built for a different core count.
-    pub fn run_stream_until(
-        &mut self,
-        stream: &mut dyn OpStream,
-        cursor: &mut RunCursor,
-        stop: StopAt,
-    ) -> RunSummary {
-        self.run_inner(Feed::Stream(stream), cursor, stop, None)
     }
 
     /// Runs the workload to completion while recording, after each
@@ -591,14 +562,13 @@ impl System {
         };
         let n = self.cores.len();
         assert_eq!(cursor.queues.len(), n, "cursor built for another machine");
-        // Seed one completion event per active core on the cursor's first
-        // use. The invariant from here on: exactly one queued event per
-        // active core (stepping pops it and pushes the successor).
-        if cursor.events.is_empty() {
-            for c in 0..n {
-                if cursor.active[c] {
-                    cursor.events.push(self.cores[c].ready_at, c);
-                }
+        // One completion event per active core, at its clock as this call
+        // finds it. While the loop runs, a popped core's next event is
+        // pushed when it yields, and dropped when its stream ends.
+        cursor.events.clear();
+        for c in 0..n {
+            if cursor.active[c] {
+                cursor.events.push(self.cores[c].ready_at, c);
             }
         }
         'sched: loop {
@@ -607,41 +577,16 @@ impl System {
                 StopAt::Cycle(at) if self.now_max >= at => break,
                 _ => {}
             }
-            // Heap hygiene: stale events are invalidated lazily (detected
-            // on pop and re-pushed at the current clock), which is O(1)
-            // per event but lets entries accumulate if something queues
-            // duplicates — e.g. a driver mixing run_until with direct
-            // clock advances across many increments. Past a small bound
-            // the heap is rebuilt from the per-core clocks instead:
-            // correct because every live core's next event is fully
-            // determined by `ready_at`, so stale and duplicate entries
-            // carry no information.
-            if cursor.events.len() > 2 * n + 8 {
-                cursor.events.clear();
-                for c in 0..n {
-                    if cursor.active[c] {
-                        cursor.events.push(self.cores[c].ready_at, c);
-                    }
-                }
-            }
             let Some((at, core)) = cursor.events.pop() else {
                 break;
             };
-            if !cursor.active[core] {
-                continue;
-            }
-            if at != self.cores[core].ready_at {
-                // Stale: the core's clock moved between run_until calls
-                // (run_single_core, drain_all_store_buffers, …).
-                // Reschedule at the current clock.
-                cursor.events.push(self.cores[core].ready_at, core);
-                continue;
-            }
+            debug_assert!(cursor.active[core] && at == self.cores[core].ready_at);
             // Step this core inline while it stays the globally earliest
             // event: re-pushing and immediately re-popping the same core
             // for back-to-back ops would be pure heap churn, and comparing
             // `(ready_at, core)` against the heap root reproduces the pop
-            // order (cycle, then lowest core index) exactly.
+            // order (cycle, then lowest core index) exactly. Leaving this
+            // loop yields: the core's next event goes back on the heap.
             loop {
                 let op = match cursor.queues[core].pop_front() {
                     Some(op) => op,
@@ -656,10 +601,7 @@ impl System {
                             }
                             match cursor.queues[core].pop_front() {
                                 Some(op) => op,
-                                None => {
-                                    cursor.events.push(self.cores[core].ready_at, core);
-                                    continue 'sched;
-                                }
+                                None => break,
                             }
                         }
                         // Streams bypass the queue entirely: one op pulled,
@@ -687,14 +629,8 @@ impl System {
                 if probe.is_none() {
                     if let Op::Compute { cycles } = op {
                         match self.fold_computes(core, cycles, cursor, stop) {
-                            FoldOutcome::Stopped => {
-                                cursor.events.push(self.cores[core].ready_at, core);
-                                break 'sched;
-                            }
-                            FoldOutcome::Yielded => {
-                                cursor.events.push(self.cores[core].ready_at, core);
-                                continue 'sched;
-                            }
+                            FoldOutcome::Stopped => break 'sched,
+                            FoldOutcome::Yielded => break,
                             FoldOutcome::RanDry => continue,
                         }
                     }
@@ -720,29 +656,23 @@ impl System {
                     None => {}
                 }
                 // The stop check runs between ops exactly as it would at
-                // the top of the scheduler loop; on a stop the core's next
-                // event is queued, restoring the one-event-per-active-core
-                // invariant.
+                // the top of the scheduler loop.
                 let stopped = match stop {
                     StopAt::Ops(budget) => cursor.ops >= budget,
                     StopAt::Cycle(at) => self.now_max >= at,
                     _ => false,
                 };
                 if stopped {
-                    cursor.events.push(self.cores[core].ready_at, core);
                     break 'sched;
                 }
-                match cursor.events.peek() {
-                    // Another core's event is due first (or ties with a
-                    // lower index): yield to it.
-                    Some(next) if next < (self.cores[core].ready_at, core) => {
-                        cursor.events.push(self.cores[core].ready_at, core);
-                        continue 'sched;
-                    }
-                    // Still the earliest (or the only active core).
-                    _ => {}
+                // Another core's event is due first (or ties with a lower
+                // index): yield to it.
+                let now = (self.cores[core].ready_at, core);
+                if cursor.events.peek().is_some_and(|next| next < now) {
+                    break;
                 }
             }
+            cursor.events.push(self.cores[core].ready_at, core);
         }
         RunSummary {
             cycles: self.now_max,
@@ -1828,102 +1758,6 @@ mod tests {
     }
 
     #[test]
-    fn event_heap_stays_bounded_on_long_incremental_runs() {
-        // Scheduler-heap hygiene: stale events are invalidated lazily on
-        // pop with no per-event cleanup. An audit of run_inner shows every
-        // push is matched by a pop on all paths (step, yield, stop, stream
-        // end), so organic runs cannot leak — but a long run advanced in
-        // thousands of tiny increments is exactly where an imbalance
-        // would compound, so this regression test pins the O(cores)
-        // bound the compaction pass enforces either way.
-        let mut cfg = SimConfig::small_for_tests();
-        cfg.cores = 1;
-        let mut s = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-        let a = s.address_map().persistent_base();
-        struct Stream {
-            addr: u64,
-            left: u64,
-        }
-        impl Workload for Stream {
-            fn name(&self) -> &str {
-                "stream"
-            }
-            fn next_batch(&mut self, _core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
-                if self.left == 0 {
-                    return None;
-                }
-                self.left -= 1;
-                Some(vec![Op::store_u64(
-                    self.addr + (self.left % 64) * 64,
-                    self.left,
-                )])
-            }
-        }
-        let mut w = Stream {
-            addr: a,
-            left: 5000,
-        };
-        let mut cursor = RunCursor::new(1);
-        // One in-flight workload event: the compaction threshold 2n + 8.
-        let bound = 10;
-        let mut at = 0;
-        loop {
-            at += 200;
-            let summary = s.run_until(&mut w, &mut cursor, StopAt::Cycle(at));
-            assert!(
-                cursor.queued_events() <= bound,
-                "event heap grew to {} entries",
-                cursor.queued_events()
-            );
-            if summary.completed {
-                break;
-            }
-        }
-        assert_eq!(cursor.ops(), 5000);
-    }
-
-    #[test]
-    fn forged_duplicate_events_are_compacted_away() {
-        // Force the pathological heap state the lazy invalidation could
-        // in principle accumulate: hundreds of stale duplicates for one
-        // core, and no entry at all for the other. The compaction pass
-        // must rebuild the heap from the per-core clocks — restoring the
-        // one-event-per-active-core invariant — and the run must still
-        // complete with every op accounted for.
-        let mut s = sys(PersistencyMode::Eadr);
-        let a = pbase(&s);
-        struct Fixed {
-            per_core: Vec<Vec<Op>>,
-        }
-        impl Workload for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
-            fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
-                let ops = std::mem::take(&mut self.per_core[core]);
-                if ops.is_empty() {
-                    None
-                } else {
-                    Some(ops)
-                }
-            }
-        }
-        let ops: Vec<Op> = (0..32u64).map(|i| Op::store_u64(a + i * 64, i)).collect();
-        let mut w = Fixed {
-            per_core: vec![ops.clone(), ops],
-        };
-        let mut cursor = RunCursor::new(2);
-        for i in 0..500u64 {
-            cursor.events.push(i, 0);
-        }
-        let summary = s.run_until(&mut w, &mut cursor, StopAt::End);
-        assert!(summary.completed);
-        assert_eq!(cursor.ops(), 64, "both cores ran despite the forged heap");
-        assert!(cursor.queued_events() <= 2 * 2 + 8);
-        s.check_invariants();
-    }
-
-    #[test]
     fn cloned_system_crashes_independently() {
         let mut s = sys(PersistencyMode::BbbMemorySide);
         let a = pbase(&s);
@@ -2290,27 +2124,36 @@ mod tests {
 
     #[test]
     fn stream_run_matches_batch_run() {
-        for mode in [PersistencyMode::BbbMemorySide, PersistencyMode::Pmem] {
-            let mut batch_sys = sys(mode);
-            let mut stream_sys = sys(mode);
-            let base = pbase(&batch_sys) + 0x400;
-            let mut w = ComputeHeavy {
-                left: [25, 18],
-                base,
-            };
-            let mut s = ComputeHeavyStream {
-                inner: ComputeHeavy {
+        // A full run, and an op budget that stops both feeds mid-batch
+        // (`ComputeHeavy` batches are 4–8 ops).
+        for budget in [u64::MAX, 37] {
+            for mode in [PersistencyMode::BbbMemorySide, PersistencyMode::Pmem] {
+                let mut batch_sys = sys(mode);
+                let mut stream_sys = sys(mode);
+                let base = pbase(&batch_sys) + 0x400;
+                let mut w = ComputeHeavy {
                     left: [25, 18],
                     base,
-                },
-                bufs: vec![VecDeque::new(); 2],
-            };
-            let r1 = batch_sys.run(&mut w, u64::MAX);
-            let r2 = stream_sys.run_stream(&mut s, u64::MAX);
-            assert_eq!(r1, r2, "{mode:?}");
-            assert_eq!(batch_sys.stats(), stream_sys.stats(), "{mode:?}");
-            let (ia, ib) = (batch_sys.crash_image(true), stream_sys.crash_image(true));
-            assert_eq!(ia.as_store(), ib.as_store(), "{mode:?}");
+                };
+                let mut s = ComputeHeavyStream {
+                    inner: ComputeHeavy {
+                        left: [25, 18],
+                        base,
+                    },
+                    bufs: vec![VecDeque::new(); 2],
+                };
+                let r1 = batch_sys.run(&mut w, budget);
+                let r2 = stream_sys.run_stream(&mut s, budget);
+                assert_eq!(r1, r2, "{mode:?} budget {budget}");
+                assert_eq!(r1.completed, budget == u64::MAX, "{mode:?} budget {budget}");
+                assert_eq!(
+                    batch_sys.stats(),
+                    stream_sys.stats(),
+                    "{mode:?} budget {budget}"
+                );
+                let (ia, ib) = (batch_sys.crash_image(true), stream_sys.crash_image(true));
+                assert_eq!(ia.as_store(), ib.as_store(), "{mode:?} budget {budget}");
+            }
         }
     }
 

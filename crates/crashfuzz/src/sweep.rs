@@ -439,21 +439,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
     let mut memo_dropped: Option<(u64, RecoveryReport)> = None;
     for &p in &shard.points {
         sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle(p));
-        let epoch = sys.crash_image_epoch(true);
-        let report = match &memo {
-            Some((e, r)) if *e == epoch => {
-                perf.snapshots_reused += 1;
-                r.clone()
-            }
-            _ => {
-                let (resident, copies_before) = sys.media_cow_stats();
-                let image = sys.crash_image(true);
-                perf.record_snapshot(resident, copies_before, image.as_store().cow_page_copies());
-                let r = verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params);
-                memo = Some((epoch, r.clone()));
-                r
-            }
-        };
+        let report = examine_crash(&sys, cfg, true, &mut memo, &mut perf);
         if expects_consistent {
             if !report.ok() {
                 failures.push(CrashFailure {
@@ -470,25 +456,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         }
         if cfg.battery_oracle() {
             negative_points += 1;
-            let depoch = sys.crash_image_epoch(false);
-            let dropped = match &memo_dropped {
-                Some((e, r)) if *e == depoch => {
-                    perf.snapshots_reused += 1;
-                    r.clone()
-                }
-                _ => {
-                    let (resident, copies_before) = sys.media_cow_stats();
-                    let image = sys.crash_image(false);
-                    perf.record_snapshot(
-                        resident,
-                        copies_before,
-                        image.as_store().cow_page_copies(),
-                    );
-                    let r = verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params);
-                    memo_dropped = Some((depoch, r.clone()));
-                    r
-                }
-            };
+            let dropped = examine_crash(&sys, cfg, false, &mut memo_dropped, &mut perf);
             // A dead battery must lose updates relative to the healthy
             // crash at the same cycle: either the image is torn, or fewer
             // elements survive.
@@ -505,12 +473,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         // flushes/barriers must come up short (or torn).
         negative_points += 1;
         sys.run_until(w.as_mut(), &mut cursor, StopAt::End);
-        let lossy_final = {
-            let (resident, copies_before) = sys.media_cow_stats();
-            let image = sys.crash_image(true);
-            perf.record_snapshot(resident, copies_before, image.as_store().cow_page_copies());
-            verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params)
-        };
+        let lossy_final = examine_crash(&sys, cfg, true, &mut None, &mut perf);
         let twin_final = {
             let twin = cfg.consistent_twin();
             let (mut tw, mut tsys) = build(&twin);
@@ -533,6 +496,33 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         negative_signatures,
         perf,
     }
+}
+
+/// The recovery verdict for a crash at `sys`'s current cycle, with the
+/// battery healthy or dropped. `memo` holds the last verdict for this
+/// battery state and the image epoch it was taken at: an unchanged epoch
+/// proves the image byte-identical, so the verdict is reused without a
+/// snapshot; otherwise the image is snapshotted, checked and memoized.
+fn examine_crash(
+    sys: &System,
+    cfg: &SweepConfig,
+    battery_ok: bool,
+    memo: &mut Option<(u64, RecoveryReport)>,
+    perf: &mut SweepPerf,
+) -> RecoveryReport {
+    let epoch = sys.crash_image_epoch(battery_ok);
+    if let Some((e, r)) = memo {
+        if *e == epoch {
+            perf.snapshots_reused += 1;
+            return r.clone();
+        }
+    }
+    let (resident, copies_before) = sys.media_cow_stats();
+    let image = sys.crash_image(battery_ok);
+    perf.record_snapshot(resident, copies_before, image.as_store().cow_page_copies());
+    let r = verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params);
+    *memo = Some((epoch, r.clone()));
+    r
 }
 
 /// Folds per-shard outcomes (in plan order) into the configuration's
