@@ -282,9 +282,11 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any structural parameter is zero, a cache geometry
-    /// does not divide evenly, or the L2 is smaller than one core's L1D
-    /// (the inclusion invariant would be unsatisfiable).
+    /// Returns `Err` if any structural parameter is zero (the WPQ and the
+    /// NVMM channel count included), a cache geometry does not divide
+    /// evenly or has a set count that is not a power of two, or the L2 is
+    /// smaller than one core's L1D (the inclusion invariant would be
+    /// unsatisfiable).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be > 0".into());
@@ -303,6 +305,13 @@ impl SimConfig {
             if blocks == 0 || blocks % c.ways != 0 {
                 return Err(format!("{name}: capacity must divide into ways"));
             }
+            // Block index bits select the set.
+            if !(blocks / c.ways).is_power_of_two() {
+                return Err(format!("{name}: set count must be a power of two"));
+            }
+        }
+        if self.mem.wpq_entries == 0 || self.mem.nvmm_channels == 0 {
+            return Err("the WPQ and the NVMM channels must be non-empty".into());
         }
         if self.l2.capacity_bytes < self.l1d.capacity_bytes {
             return Err("L2 must be at least as large as one L1D (inclusion)".into());

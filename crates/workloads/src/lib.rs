@@ -39,6 +39,7 @@ pub mod pstore_log;
 pub mod rtree;
 pub mod suite;
 pub mod wal;
+mod walk;
 
 pub use arrays::{ArrayOpKind, ArrayWorkload, Sharing};
 pub use btree::BtreeWorkload;
