@@ -26,7 +26,7 @@
 use bbb_check::conform::run_suite;
 use bbb_check::enumerate::{generate_suite, GenBounds};
 use bbb_check::litmus::{mode_label, run_all, run_shape, shapes};
-use bbb_check::{CheckReport, PersistOrderChecker};
+use bbb_check::{CheckReport, ModeConform, PersistOrderChecker};
 use bbb_core::{PersistencyMode, System};
 use bbb_runner::{json_requested, Report, Runner};
 use bbb_sim::{SimConfig, Table};
@@ -251,15 +251,10 @@ fn audit_cmd() -> bool {
         ],
     );
     let mut failed = false;
-    for (cell, rep) in cells.iter().zip(&reports) {
-        let ok = match cell.expect_clean {
-            Some(true) => rep.ok(),
-            Some(false) => rep.violations() >= 1,
-            None => true,
-        };
+    let mut row = |label: &str, rep: &CheckReport, ok: bool| {
         failed |= !ok;
         table.row_owned(vec![
-            cell.label.clone(),
+            label.to_owned(),
             rep.events.to_string(),
             rep.persistent_stores.to_string(),
             rep.persisted.to_string(),
@@ -267,6 +262,14 @@ fn audit_cmd() -> bool {
             rep.violations().to_string(),
             if ok { "ok" } else { "FAILED" }.to_owned(),
         ]);
+    };
+    for (cell, rep) in cells.iter().zip(&reports) {
+        let ok = match cell.expect_clean {
+            Some(true) => rep.ok(),
+            Some(false) => rep.violations() >= 1,
+            None => true,
+        };
+        row(&cell.label, rep, ok);
         if !ok {
             eprintln!("\n{}: unexpected outcome", cell.label);
             for w in &rep.witnesses {
@@ -278,16 +281,7 @@ fn audit_cmd() -> bool {
         }
     }
     let bep_ok = bep_row.report.violations() >= 1;
-    failed |= !bep_ok;
-    table.row_owned(vec![
-        "mp/bep-stripped".to_owned(),
-        bep_row.report.events.to_string(),
-        bep_row.report.persistent_stores.to_string(),
-        bep_row.report.persisted.to_string(),
-        bep_row.report.pov_pop_checked.to_string(),
-        bep_row.report.violations().to_string(),
-        if bep_ok { "ok" } else { "FAILED" }.to_owned(),
-    ]);
+    row("mp/bep-stripped", &bep_row.report, bep_ok);
     report.table(table);
 
     let battery_violations: u64 = cells
@@ -348,36 +342,31 @@ fn conform_cmd(full: bool) -> bool {
     let mut unwitnessed = 0usize;
     let mut total_points = 0usize;
     for (mi, mode) in PersistencyMode::ALL.into_iter().enumerate() {
-        let cells = results.iter().map(|r| &r.per_mode[mi]);
-        let executions: usize = cells.clone().map(|m| m.executions).sum();
-        let allowed: usize = cells.clone().map(|m| m.allowed).sum();
-        let forbidden: usize = cells.clone().map(|m| m.forbidden).sum();
-        let universal: usize = cells.clone().map(|m| m.universal).sum();
-        let observed: usize = cells.clone().map(|m| m.observed).sum();
-        let covered: usize = cells.clone().map(|m| m.covered).sum();
-        let points: usize = cells.clone().map(|m| m.crash_points).sum();
-        let violations: usize = cells.clone().map(|m| m.violations.len()).sum();
+        let sum = |f: fn(&ModeConform) -> usize| -> usize {
+            results.iter().map(|r| f(&r.per_mode[mi])).sum()
+        };
+        let violations = sum(|m| m.violations.len());
         total_violations += violations;
         // Every forbidden outcome must carry a witness; `universal`
         // counts the stronger all-executions kind.
-        unwitnessed += cells
-            .clone()
-            .map(|m| m.forbidden - m.witnessed)
-            .sum::<usize>();
-        total_points += points;
-        table.row_owned(vec![
-            mode_label(mode).to_owned(),
-            results.len().to_string(),
-            executions.to_string(),
-            allowed.to_string(),
-            forbidden.to_string(),
-            universal.to_string(),
-            observed.to_string(),
-            covered.to_string(),
-            points.to_string(),
-            violations.to_string(),
-            if violations == 0 { "ok" } else { "FAILED" }.to_owned(),
-        ]);
+        unwitnessed += sum(|m| m.forbidden - m.witnessed);
+        total_points += sum(|m| m.crash_points);
+        let mut row = vec![mode_label(mode).to_owned(), results.len().to_string()];
+        row.extend(
+            [
+                sum(|m| m.executions),
+                sum(|m| m.allowed),
+                sum(|m| m.forbidden),
+                sum(|m| m.universal),
+                sum(|m| m.observed),
+                sum(|m| m.covered),
+                sum(|m| m.crash_points),
+                violations,
+            ]
+            .map(|n| n.to_string()),
+        );
+        row.push(if violations == 0 { "ok" } else { "FAILED" }.to_owned());
+        table.row_owned(row);
     }
     report.table(table);
 

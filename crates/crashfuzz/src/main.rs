@@ -89,21 +89,18 @@ fn main() {
     let mut configs = Vec::new();
     for &kind in suite {
         for mode in PersistencyMode::ALL {
-            let mut sc = SweepConfig::paper_discipline(kind, mode, &cfg, params, grid);
-            if pstore {
-                sc = sc.with_store_boundaries();
-            }
-            configs.push(sc);
+            configs.push(SweepConfig::paper_discipline(
+                kind, mode, &cfg, params, grid,
+            ));
         }
         if lost_updates_observable(kind) {
             for mode in [PersistencyMode::Pmem, PersistencyMode::Bep] {
-                let mut sc = SweepConfig::lossy(kind, mode, &cfg, params, grid);
-                if pstore {
-                    sc = sc.with_store_boundaries();
-                }
-                configs.push(sc);
+                configs.push(SweepConfig::lossy(kind, mode, &cfg, params, grid));
             }
         }
+    }
+    for sc in &mut configs {
+        sc.store_boundaries = pstore;
     }
 
     // Two-phase parallel sweep. Phase 1 plans each pair's crash grid
@@ -125,9 +122,7 @@ fn main() {
         .iter()
         .zip(&shard_sets)
         .map(|(cfg, set)| {
-            let parts: Vec<_> = (0..set.len())
-                .map(|_| partials.next().expect("shard"))
-                .collect();
+            let parts: Vec<_> = partials.by_ref().take(set.len()).collect();
             merge_shards(cfg, &parts)
         })
         .collect();
@@ -254,13 +249,12 @@ fn emit_perf_report(
     report.meta_scale_name(if smoke { "smoke" } else { "full" });
     report.meta("threads", runner.threads());
     report.meta("shards", shards.len());
+    let points_per_sec = total_points as f64 / wall_secs.max(1e-9);
+    let sim_cycles_per_sec = perf.sim_cycles as f64 / wall_secs.max(1e-9);
     report.meta("wall_seconds", wall_secs);
     report.meta("points", total_points);
-    report.meta("points_per_sec", total_points as f64 / wall_secs.max(1e-9));
-    report.meta(
-        "sim_cycles_per_sec",
-        perf.sim_cycles as f64 / wall_secs.max(1e-9),
-    );
+    report.meta("points_per_sec", points_per_sec);
+    report.meta("sim_cycles_per_sec", sim_cycles_per_sec);
     for kind in EventKind::ALL {
         report.meta(
             &format!("sched.events.{}", kind.name()),
@@ -272,32 +266,18 @@ fn emit_perf_report(
         );
     }
     let mut table = Table::new("Crash-sweep wall time", &["metric", "value"]);
-    table.row_owned(vec!["wall_seconds".into(), format!("{wall_secs:.3}")]);
-    table.row_owned(vec![
-        "points_per_sec".into(),
-        format!("{:.1}", total_points as f64 / wall_secs.max(1e-9)),
-    ]);
-    table.row_owned(vec![
-        "sim_cycles_per_sec".into(),
-        format!("{:.0}", perf.sim_cycles as f64 / wall_secs.max(1e-9)),
-    ]);
-    table.row_owned(vec!["snapshots".into(), perf.snapshots.to_string()]);
-    table.row_owned(vec![
-        "snapshots_reused".into(),
-        perf.snapshots_reused.to_string(),
-    ]);
-    table.row_owned(vec![
-        "snapshot_pages_shared".into(),
-        perf.pages_shared.to_string(),
-    ]);
-    table.row_owned(vec![
-        "snapshot_pages_copied".into(),
-        perf.pages_copied.to_string(),
-    ]);
-    table.row_owned(vec![
-        "clone_bytes_avoided".into(),
-        perf.clone_bytes_avoided.to_string(),
-    ]);
+    for (metric, value) in [
+        ("wall_seconds", format!("{wall_secs:.3}")),
+        ("points_per_sec", format!("{points_per_sec:.1}")),
+        ("sim_cycles_per_sec", format!("{sim_cycles_per_sec:.0}")),
+        ("snapshots", perf.snapshots.to_string()),
+        ("snapshots_reused", perf.snapshots_reused.to_string()),
+        ("snapshot_pages_shared", perf.pages_shared.to_string()),
+        ("snapshot_pages_copied", perf.pages_copied.to_string()),
+        ("clone_bytes_avoided", perf.clone_bytes_avoided.to_string()),
+    ] {
+        table.row_owned(vec![metric.into(), value]);
+    }
     report.table(table);
     // Where simulated time went, per scheduler event kind: the profile the
     // event-driven interpreter attributes as each op completes.

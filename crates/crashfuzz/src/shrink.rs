@@ -13,7 +13,7 @@
 use bbb_sim::{Cycle, SimConfig};
 
 use crate::grid::GridSpec;
-use crate::sweep::{first_failure_at, reference_run, CrashFailure, SweepConfig};
+use crate::sweep::{first_failure_at, mode_tag, reference_run, CrashFailure, SweepConfig};
 
 /// Dense points used for each shrink re-scan.
 const RESCAN_POINTS: usize = 256;
@@ -31,9 +31,8 @@ pub struct Reproducer {
 }
 
 fn rescan(cfg: &SweepConfig, battery_dropped: bool) -> Option<CrashFailure> {
-    let reference = reference_run(cfg);
     let spec = GridSpec::bounded(RESCAN_POINTS, 0, cfg.grid.seed);
-    let points = crate::grid::plan_points(reference.total_cycles, &reference.event_cycles, &spec);
+    let points = reference_run(cfg).plan(&spec);
     first_failure_at(cfg, battery_dropped, &points)
 }
 
@@ -180,7 +179,7 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
     assert!(report.ok(), "{{report}}");
 }}"#,
         wl_fn = sanitize(cfg.workload.name()),
-        mode_fn = sanitize(cfg.mode_tag()),
+        mode_fn = sanitize(mode_tag(cfg.mode)),
         cycle = failure.cycle,
         wl_name = cfg.workload.name(),
         mode_debug = cfg.mode,
