@@ -19,7 +19,8 @@ use bbb_sim::{
     BLOCK_BYTES,
 };
 
-use crate::bbpb::{AllocOutcome, Bbpb};
+use crate::bbpb::Bbpb;
+use crate::buffer::{AllocOutcome, EntryTable, PersistBuffer};
 use crate::mode::PersistencyMode;
 use crate::procside::ProcSidePb;
 
@@ -48,30 +49,12 @@ impl PersistState {
     #[must_use]
     pub fn new(cfg: &SimConfig, mode: PersistencyMode) -> Self {
         let (bbpbs, procpbs) = match mode {
-            PersistencyMode::BbbMemorySide => (
-                (0..cfg.cores)
-                    .map(|c| {
-                        let mut pb = Bbpb::new(&cfg.bbpb);
-                        pb.core_id = c;
-                        pb
-                    })
-                    .collect(),
-                Vec::new(),
-            ),
+            PersistencyMode::BbbMemorySide => (per_core(cfg), Vec::new()),
             // BEP's volatile persist buffers share the processor-side
             // implementation: ordered per-store entries. The difference is
             // crash behavior (dropped, not drained) and the epoch-barrier
             // drain, both handled by the system.
-            PersistencyMode::BbbProcessorSide | PersistencyMode::Bep => (
-                Vec::new(),
-                (0..cfg.cores)
-                    .map(|c| {
-                        let mut pb = ProcSidePb::new(&cfg.bbpb);
-                        pb.core_id = c;
-                        pb
-                    })
-                    .collect(),
-            ),
+            PersistencyMode::BbbProcessorSide | PersistencyMode::Bep => (Vec::new(), per_core(cfg)),
             PersistencyMode::Pmem | PersistencyMode::Eadr => (Vec::new(), Vec::new()),
         };
         Self {
@@ -90,11 +73,8 @@ impl PersistState {
     /// buffer it owns.
     pub fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
-        for pb in &mut self.bbpbs {
-            pb.trace.set_enabled(on);
-        }
-        for pb in &mut self.procpbs {
-            pb.trace.set_enabled(on);
+        for log in self.buffer_traces() {
+            log.set_enabled(on);
         }
     }
 
@@ -102,13 +82,15 @@ impl PersistState {
     /// buffer log in core order (the stable-merge tie order).
     pub fn take_trace_logs(&mut self) -> Vec<Vec<TraceEvent>> {
         let mut logs = vec![self.trace.take()];
-        for pb in &mut self.bbpbs {
-            logs.push(pb.trace.take());
-        }
-        for pb in &mut self.procpbs {
-            logs.push(pb.trace.take());
-        }
+        logs.extend(self.buffer_traces().map(TraceLog::take));
         logs
+    }
+
+    /// Each owned buffer's event log in core order, whichever
+    /// organization is active.
+    fn buffer_traces(&mut self) -> impl Iterator<Item = &mut TraceLog> {
+        let mem = self.bbpbs.iter_mut().map(|pb| &mut pb.trace);
+        mem.chain(self.procpbs.iter_mut().map(|pb| &mut pb.trace))
     }
 
     /// Allocates a persisting store's block into `core`'s bbPB, keeping
@@ -313,17 +295,17 @@ impl PersistState {
     /// sum proves every buffer individually unchanged.
     #[must_use]
     pub fn buffers_version(&self) -> u64 {
-        let mem: u64 = self.bbpbs.iter().map(Bbpb::version).sum();
-        let proc: u64 = self.procpbs.iter().map(ProcSidePb::version).sum();
-        mem + proc
+        let mem = self.bbpbs.iter().map(Bbpb::version);
+        mem.chain(self.procpbs.iter().map(ProcSidePb::version))
+            .sum()
     }
 
     /// Resident entries across all bbPBs (crash-cost accounting).
     #[must_use]
     pub fn total_resident_entries(&self) -> u64 {
-        let mem: u64 = self.bbpbs.iter().map(|p| p.drain_set().len() as u64).sum();
-        let proc: u64 = self.procpbs.iter().map(|p| p.iter().count() as u64).sum();
-        mem + proc
+        let mem = self.bbpbs.iter().map(Bbpb::resident);
+        mem.chain(self.procpbs.iter().map(ProcSidePb::resident))
+            .sum::<usize>() as u64
     }
 
     /// Aggregated buffer counters plus the persist-state's own, all under
@@ -331,16 +313,25 @@ impl PersistState {
     #[must_use]
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        for pb in &self.bbpbs {
-            s.merge(&pb.stats());
-        }
-        for pb in &self.procpbs {
-            s.merge(&pb.stats());
+        let mem = self.bbpbs.iter().map(Bbpb::stats);
+        for pb in mem.chain(self.procpbs.iter().map(ProcSidePb::stats)) {
+            s.merge(&pb);
         }
         s.set("bbpb.entry_moves", self.entry_moves.get());
         s.set("bbpb.downgrades_kept", self.downgrades_kept.get());
         s
     }
+}
+
+/// One buffer per core, each tagged with its core for trace attribution.
+fn per_core<T: EntryTable>(cfg: &SimConfig) -> Vec<PersistBuffer<T>> {
+    (0..cfg.cores)
+        .map(|c| {
+            let mut pb = PersistBuffer::new(&cfg.bbpb);
+            pb.core_id = c;
+            pb
+        })
+        .collect()
 }
 
 impl CoherenceHooks for PersistState {
@@ -561,10 +552,18 @@ mod tests {
     fn procside_invalidation_drains_in_order() {
         let mut s = state(PersistencyMode::BbbProcessorSide);
         let mut n = nvmm();
-        s.procpb_mut(0)
-            .push(0, b(1), 0, &1u64.to_le_bytes(), 0, 0, &mut n);
-        s.procpb_mut(0)
-            .push(0, b(2), 0, &2u64.to_le_bytes(), 0, 1, &mut n);
+        for (seq, block) in [b(1), b(2)].into_iter().enumerate() {
+            let store = bbb_cpu::SbEntry {
+                block,
+                offset: 0,
+                len: 8,
+                bytes: (seq as u64 + 1).to_le_bytes(),
+                persistent: true,
+                committed: 0,
+                seq: seq as u64,
+            };
+            s.procpb_mut(0).push(0, store, &mut n);
+        }
         s.on_remote_invalidate(5, b(2), 0, 1, &mut n);
         // Both entries drained (FIFO through block 2).
         assert_eq!(n.endurance().total_writes(), 2);

@@ -190,25 +190,18 @@ enum Write {
     Block(BlockAddr, [u8; BLOCK_BYTES]),
     /// One buffered store, read-modify-written into its block; `core`
     /// is the core whose buffer holds it.
-    Store {
-        core: usize,
-        block: BlockAddr,
-        offset: usize,
-        len: usize,
-        bytes: [u8; 8],
-    },
+    Store { core: usize, store: SbEntry },
 }
 
-/// Merges per-core FIFO queues of buffered stores, each read as `(commit
-/// cycle, per-core sequence, block, offset, len, bytes)`, in coherence
-/// order τ = (commit cycle, core index, per-core sequence). Only queue
-/// fronts are compared, so each core's own order is kept even where it is
-/// not τ-sorted (a relaxed store-buffer drain can feed a processor-side
+/// Merges per-core FIFO queues of buffered stores in coherence order
+/// τ = (commit cycle, core index, per-core sequence). Only queue fronts
+/// are compared, so each core's own order is kept even where it is not
+/// τ-sorted (a relaxed store-buffer drain can feed a processor-side
 /// buffer out of commit order). Empty queues are dropped up front, so
 /// merging nothing allocates nothing.
-fn merge_by_tau<Q>(queues: impl Iterator<Item = Q>, mut visit: impl FnMut(Write))
+fn merge_by_tau<'a, Q>(queues: impl Iterator<Item = Q>, mut visit: impl FnMut(Write))
 where
-    Q: Iterator<Item = (Cycle, u64, BlockAddr, usize, usize, [u8; 8])>,
+    Q: Iterator<Item = &'a SbEntry>,
 {
     let mut fronts: Vec<(usize, Peekable<Q>)> = queues
         .map(Iterator::peekable)
@@ -219,21 +212,12 @@ where
         let next = fronts
             .iter_mut()
             .enumerate()
-            .filter_map(|(i, (core, q))| {
-                q.peek()
-                    .map(|&(committed, seq, ..)| ((committed, *core, seq), i))
-            })
+            .filter_map(|(i, (core, q))| q.peek().map(|e| ((e.committed, *core, e.seq), i)))
             .min();
         let Some((_, i)) = next else { break };
         let (core, q) = &mut fronts[i];
-        let (_, _, block, offset, len, bytes) = q.next().expect("peeked front");
-        visit(Write::Store {
-            core: *core,
-            block,
-            offset,
-            len,
-            bytes,
-        });
+        let store = *q.next().expect("peeked front");
+        visit(Write::Store { core: *core, store });
     }
 }
 
@@ -945,16 +929,15 @@ impl System {
                 Write::Block(block, data) => {
                     nvmm.write(now, block, data);
                 }
-                Write::Store {
-                    core,
-                    block,
-                    offset,
-                    len,
-                    bytes,
-                } => {
-                    nvmm.rmw_block(now, block, offset, &bytes[..len]);
+                Write::Store { core, store } => {
+                    nvmm.rmw_block(now, store.block, store.offset, &store.bytes[..store.len]);
                     if from == Survivor::ProcPbs {
-                        self.persist.procpb_mut(core).note_crash_drain(now, block);
+                        // The crash drains the store on its buffer's
+                        // behalf: the same event and count an ordered
+                        // drain gives it.
+                        self.persist
+                            .procpb_mut(core)
+                            .record_drain(now, store.block, false);
                     }
                 }
             }
@@ -982,13 +965,10 @@ impl System {
         let mut media = self.memories.nvmm().media_snapshot();
         self.surviving_writes(battery_ok, |_, w| match w {
             Write::Block(block, data) => media.write_block(block, &data),
-            Write::Store {
-                block,
-                offset,
-                len,
-                bytes,
-                ..
-            } => media.write(block.base() + offset as u64, &bytes[..len]),
+            Write::Store { store, .. } => media.write(
+                store.block.base() + store.offset as u64,
+                &store.bytes[..store.len],
+            ),
         });
         NvmImage::from_store(media)
     }
@@ -1061,20 +1041,13 @@ impl System {
                     }
                 }
                 Survivor::ProcPbs => merge_by_tau(
-                    (0..self.cores.len()).map(|c| {
-                        self.persist
-                            .procpb(c)
-                            .iter()
-                            .map(|e| (e.committed, e.seq, e.block, e.offset, e.len, e.bytes))
-                    }),
+                    (0..self.cores.len()).map(|c| self.persist.procpb(c).iter()),
                     |w| visit(from, w),
                 ),
                 Survivor::StoreBuffers => merge_by_tau(
-                    self.cores.iter().map(|c| {
-                        c.sb.iter()
-                            .filter(|e| e.persistent)
-                            .map(|e| (e.committed, e.seq, e.block, e.offset, e.len, e.bytes))
-                    }),
+                    self.cores
+                        .iter()
+                        .map(|c| c.sb.iter().filter(|e| e.persistent)),
                     |w| visit(from, w),
                 ),
             }
@@ -1119,9 +1092,9 @@ impl System {
         self.surviving_writes(true, |from, w| match (from, w) {
             (Survivor::DirtyLines, _) => cost.dirty_cache_blocks += 1,
             (Survivor::Bbpbs | Survivor::ProcPbs, _) => cost.bbpb_entries += 1,
-            (Survivor::StoreBuffers, Write::Store { len, .. }) => {
+            (Survivor::StoreBuffers, Write::Store { store, .. }) => {
                 cost.sb_entries += 1;
-                cost.sb_bytes += len as u64;
+                cost.sb_bytes += store.len as u64;
             }
             (Survivor::StoreBuffers, Write::Block(..)) => unreachable!("SB entries are stores"),
         });
@@ -1310,15 +1283,10 @@ impl System {
                 }
                 PersistencyMode::BbbProcessorSide | PersistencyMode::Bep => {
                     let battery = self.persist.mode() == PersistencyMode::BbbProcessorSide;
-                    let out = self.persist.procpb_mut(core).push(
-                        done,
-                        e.block,
-                        e.offset,
-                        &e.bytes[..e.len],
-                        e.committed,
-                        e.seq,
-                        &mut self.memories,
-                    );
+                    let out = self
+                        .persist
+                        .procpb_mut(core)
+                        .push(done, e, &mut self.memories);
                     self.trace.push(TraceEvent::PersistAlloc {
                         core,
                         block: e.block,
