@@ -264,13 +264,6 @@ impl NvmmController {
         self.media.cow_page_copies()
     }
 
-    /// Reads current media contents of one block without timing or
-    /// counters (read-modify-write support for store-granular drains).
-    #[must_use]
-    pub fn media_block(&self, block: BlockAddr) -> [u8; BLOCK_BYTES] {
-        self.media.read_block(block)
-    }
-
     /// Bytes the ADR capacitor must drain if power fails at `now`.
     #[must_use]
     pub fn wpq_crash_bytes(&self, now: Cycle) -> u64 {

@@ -45,7 +45,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use port::MemoryPort;
 pub use rng::SplitMix64;
 pub use sched::{EventKind, EventQueue, SchedProfile};
-pub use stats::{Counter, Histogram, LatencyHistogram, Stats};
+pub use stats::{Counter, LatencyHistogram, Stats};
 pub use table::Table;
 pub use trace::{merge_logs, TraceEvent, TraceLog};
 pub use zipf::ZipfSampler;

@@ -171,117 +171,6 @@ impl FromIterator<(String, u64)> for Stats {
     }
 }
 
-/// A power-of-two-bucketed histogram for latency/occupancy distributions.
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)` (bucket 0 counts zeros
-/// and ones). 64 buckets cover the full `u64` range.
-///
-/// # Examples
-///
-/// ```
-/// use bbb_sim::stats::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(0);
-/// h.record(5);
-/// h.record(5);
-/// assert_eq!(h.samples(), 3);
-/// assert_eq!(h.max(), 5);
-/// assert!((h.mean() - 10.0 / 3.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    samples: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            buckets: [0; 64],
-            samples: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        (64 - value.leading_zeros()).saturating_sub(1) as usize
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.samples += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub const fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Largest sample seen (0 when empty).
-    #[must_use]
-    pub const fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean of all samples (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.samples as f64
-        }
-    }
-
-    /// Smallest value `v` such that at least `pct` percent of samples are
-    /// `<= 2^ceil(log2 v)` — an upper bound on the percentile at bucket
-    /// granularity. Returns 0 for an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pct` is not in `(0, 100]`.
-    #[must_use]
-    pub fn percentile_upper_bound(&self, pct: u8) -> u64 {
-        assert!(pct > 0 && pct <= 100, "percentile must be in (0, 100]");
-        if self.samples == 0 {
-            return 0;
-        }
-        let target = (u128::from(self.samples) * u128::from(pct)).div_ceil(100) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 1 } else { 1u64 << (i + 1) };
-            }
-        }
-        self.max
-    }
-
-    /// Counts per occupied bucket: `(bucket_upper_bound, count)`.
-    pub fn occupied_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 1 } else { 1u64 << (i + 1) }, c))
-    }
-}
-
 /// Sub-buckets per power-of-two major bucket in [`LatencyHistogram`]
 /// (5 significant bits → ≤ 1/32 ≈ 3.1% relative quantization error).
 const LAT_SUBS: u64 = 32;
@@ -296,9 +185,8 @@ const LAT_BUCKETS: usize = LAT_EXACT as usize + (64 - LAT_FIRST_MAJOR as usize) 
 ///
 /// Values `< 64` land in exact unit buckets; larger values land in one of
 /// 32 linear sub-buckets within their power-of-two major bucket, bounding
-/// relative quantization error at ~3%. Unlike [`Histogram`] (whose
-/// power-of-two buckets only support order-of-magnitude upper bounds),
-/// this resolution is tight enough to report tail percentiles.
+/// relative quantization error at ~3%, tight enough to report tail
+/// percentiles.
 ///
 /// [`LatencyHistogram::merge`] is associative and commutative with an
 /// empty histogram as identity — the same `Stats`-style monoid contract
@@ -568,29 +456,6 @@ mod tests {
             .collect();
         let keys: Vec<&str> = s.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, ["a", "b"]);
-    }
-
-    #[test]
-    fn histogram_buckets_and_moments() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile_upper_bound(50), 0);
-        for v in [0u64, 1, 2, 3, 4, 8, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.samples(), 7);
-        assert_eq!(h.max(), 1000);
-        let buckets: Vec<(u64, u64)> = h.occupied_buckets().collect();
-        // zeros+ones -> bucket 1; {2,3} -> 2^2; {4} -> 4..8 bucket (8); 8 -> 16; 1000 -> 1024.
-        assert_eq!(buckets[0], (1, 2));
-        assert!(h.percentile_upper_bound(50) <= 8);
-        assert_eq!(h.percentile_upper_bound(100), 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn bad_percentile_panics() {
-        let _ = Histogram::new().percentile_upper_bound(0);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
 use crate::palloc::Palloc;
+use crate::walk::NodeBudget;
 
 /// A persistent chained hashmap driven as a multi-core workload.
 #[derive(Debug)]
@@ -156,7 +157,9 @@ impl Workload for HashmapWorkload {
 }
 
 /// Walks every chain in a post-crash image, validating pointers. Returns
-/// the number of reachable nodes.
+/// the number of reachable nodes. One node budget covers the whole walk,
+/// so a cycle, or buckets sharing one chain, fails it instead of running
+/// on.
 ///
 /// # Errors
 ///
@@ -169,10 +172,10 @@ pub fn check_hashmap_recovery(
     n_buckets: u64,
 ) -> Result<u64, String> {
     let mut image = image.reader();
+    let mut budget = NodeBudget::new(map, HashmapWorkload::NODE_BYTES);
     let mut nodes = 0u64;
     for i in 0..n_buckets {
         let mut p = image.read_u64(buckets_addr + i * 8);
-        let mut depth = 0u64;
         while p != 0 {
             if !map.is_persistent(p) || !p.is_multiple_of(8) {
                 return Err(format!("bucket {i}: malformed pointer {p:#x}"));
@@ -185,11 +188,8 @@ pub fn check_hashmap_recovery(
             if value != key.wrapping_mul(7) {
                 return Err(format!("bucket {i}: torn node at {p:#x}"));
             }
+            budget.visit().map_err(|e| format!("bucket {i}: {e}"))?;
             nodes += 1;
-            depth += 1;
-            if depth > 1_000_000 {
-                return Err(format!("bucket {i}: cycle suspected"));
-            }
             p = image.read_u64(p + 16);
         }
     }

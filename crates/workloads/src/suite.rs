@@ -72,6 +72,29 @@ fn wal_geometry(cfg: &SimConfig, params: WorkloadParams) -> WalLayout {
     layout
 }
 
+/// Hash-map bucket count for `(cfg, params)`: about half the node count,
+/// a power of two, within the root reserve. Construction and recovery
+/// must agree on it.
+fn hashmap_buckets(cfg: &SimConfig, params: WorkloadParams) -> u64 {
+    (params.initial / 2)
+        .next_power_of_two()
+        .clamp(64, root_reserve(cfg) / 8)
+}
+
+/// Array geometry for `(cfg, params)`: the base past the root reserve and
+/// `params.initial` elements rounded up to a multiple of the core count.
+/// Construction and recovery must agree on it.
+fn array_geometry(cfg: &SimConfig, params: WorkloadParams) -> (u64, u64) {
+    let reserve = root_reserve(cfg);
+    let cores = cfg.cores as u64;
+    let elements = params.initial.div_ceil(cores) * cores;
+    assert!(
+        elements * 8 + reserve <= cfg.persistent_heap_bytes,
+        "array does not fit the persistent heap"
+    );
+    (AddressMap::new(cfg).persistent_base() + reserve, elements)
+}
+
 /// Builds a server-scale streaming workload, or `None` for the batch
 /// kinds. The streaming path (`System::run_stream`) pulls one op at a
 /// time: memory stays O(live keys), independent of the op budget.
@@ -356,15 +379,11 @@ pub fn make_workload(
             ))
         }
         WorkloadKind::Hashmap => {
-            // Buckets sized to about half the node count, power of two.
-            let buckets = (params.initial / 2)
-                .next_power_of_two()
-                .clamp(64, reserve / 8);
             let palloc = Palloc::new(&map, cores, reserve);
             Box::new(HashmapWorkload::new(
                 map,
                 base,
-                buckets,
+                hashmap_buckets(cfg, params),
                 palloc,
                 cores,
                 params.initial,
@@ -385,15 +404,10 @@ pub fn make_workload(
                 WorkloadKind::MutateNC | WorkloadKind::SwapNC => Sharing::NonConflicting,
                 _ => Sharing::Conflicting,
             };
-            // Round elements to a multiple of the core count.
-            let elements = params.initial.div_ceil(cores as u64) * cores as u64;
-            assert!(
-                elements * 8 + reserve <= cfg.persistent_heap_bytes,
-                "array does not fit the persistent heap"
-            );
+            let (array_base, elements) = array_geometry(cfg, params);
             Box::new(ArrayWorkload::new(
                 map,
-                base + reserve,
+                array_base,
                 elements,
                 kind_,
                 sharing,
@@ -449,23 +463,19 @@ pub fn verify_recovery(
 ) -> Result<u64, String> {
     let map = AddressMap::new(cfg);
     let base = map.persistent_base();
-    let reserve = root_reserve(cfg);
     match kind {
         WorkloadKind::Rtree => crate::rtree::check_rtree_recovery(image, &map, base),
         WorkloadKind::Ctree => crate::ctree::check_ctree_recovery(image, &map, base),
         WorkloadKind::Btree => crate::btree::check_btree_recovery(image, &map, base),
         WorkloadKind::Hashmap => {
-            let buckets = (params.initial / 2)
-                .next_power_of_two()
-                .clamp(64, reserve / 8);
-            crate::hashmap::check_hashmap_recovery(image, &map, base, buckets)
+            crate::hashmap::check_hashmap_recovery(image, &map, base, hashmap_buckets(cfg, params))
         }
         WorkloadKind::MutateNC
         | WorkloadKind::MutateC
         | WorkloadKind::SwapNC
         | WorkloadKind::SwapC => {
-            let elements = params.initial.div_ceil(cfg.cores as u64) * cfg.cores as u64;
-            crate::arrays::check_array_recovery(image, base + reserve, elements)
+            let (array_base, elements) = array_geometry(cfg, params);
+            crate::arrays::check_array_recovery(image, array_base, elements)
         }
         WorkloadKind::PstoreLog => check_pstore_recovery(image, pstore_ring_base(cfg), params.seed),
         WorkloadKind::KvA | WorkloadKind::KvB | WorkloadKind::KvC => {

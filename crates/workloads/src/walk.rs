@@ -1,11 +1,12 @@
-//! The bound on the tree recovery oracles' pointer walks.
+//! The bound on the tree and hash-map recovery oracles' pointer walks.
 //!
 //! A crash image is untrusted input: a torn or hostile image can point
 //! many child slots at one node, or a node back at its ancestor. A walk
 //! bounded by depth alone then revisits shared subtrees exponentially —
-//! 20 levels of 8 children all naming the next node is 8^20 leaves.
-//! [`NodeBudget`] fails a walk once it has visited more nodes than the
-//! persistent heap can hold, which no tree does.
+//! 20 levels of 8 children all naming the next node is 8^20 leaves — and
+//! a walk bounded per hash bucket revisits one shared chain from every
+//! bucket. [`NodeBudget`] fails a walk once it has visited more nodes
+//! than the persistent heap can hold, which no structure does.
 //!
 //! Sharing itself is not corruption: a split rewrites a full node's
 //! entries in place before the count store that shrinks it, so a crash

@@ -1,19 +1,22 @@
-//! Tree recovery oracles on hostile crash images.
+//! Pointer-walking recovery oracles on hostile crash images.
 //!
-//! A crash image is untrusted input. Each image below is a chain of 20
-//! internal nodes whose children all name the next node, ending in one
+//! A crash image is untrusted input. Each tree image below is a chain of
+//! 20 internal nodes whose children all name the next node, ending in one
 //! valid leaf: 21 nodes on the heap, but 8^20 root-to-leaf paths for a
 //! B-tree or R-tree walk (2^20 for the crit-bit tree) bounded by depth
-//! alone. No tree has more nodes than the persistent heap can hold, so
-//! every oracle must call the image corrupt once its walk has visited
-//! that many (2048 256-byte nodes on the small machine) instead of
-//! walking every path.
+//! alone. The hash-map image points every bucket at one shared chain. No
+//! structure has more nodes than the persistent heap can hold, so every
+//! oracle must call the image corrupt once its walk has visited that many
+//! (2048 256-byte tree nodes, or 21 845 24-byte hash-map nodes, on the
+//! small machine) instead of walking every path.
 
 use bbb::mem::{ByteStore, NvmImage};
 use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::btree::check_btree_recovery;
 use bbb::workloads::ctree::check_ctree_recovery;
+use bbb::workloads::hashmap::check_hashmap_recovery;
 use bbb::workloads::rtree::{check_rtree_recovery, Rect};
+use bbb::workloads::HashmapWorkload;
 
 const LEVELS: u64 = 20;
 const NODE: u64 = 256;
@@ -123,4 +126,28 @@ fn a_child_named_twice_is_within_budget() {
         check_btree_recovery(&image, &map, map.persistent_base()),
         Ok(2)
     );
+}
+
+#[test]
+fn hashmap_oracle_rejects_buckets_sharing_one_chain() {
+    // 64 buckets all naming one valid, acyclic 1000-node chain: 64 000
+    // visits, past the 21 845 nodes the heap holds.
+    const BUCKETS: u64 = 64;
+    const CHAIN: u64 = 1000;
+    let map = map();
+    let buckets = map.persistent_base();
+    let chain = |k: u64| buckets + BUCKETS * 8 + k * HashmapWorkload::NODE_BYTES;
+    let mut store = ByteStore::new();
+    for i in 0..BUCKETS {
+        store.write_u64(buckets + i * 8, chain(0));
+    }
+    for k in 0..CHAIN {
+        let key = k + 1;
+        store.write_u64(chain(k), key);
+        store.write_u64(chain(k) + 8, key.wrapping_mul(7));
+        let next = if k + 1 < CHAIN { chain(k + 1) } else { 0 };
+        store.write_u64(chain(k) + 16, next);
+    }
+    let image = NvmImage::from_store(store);
+    assert_budget_spent(check_hashmap_recovery(&image, &map, buckets, BUCKETS));
 }
