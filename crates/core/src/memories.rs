@@ -5,7 +5,7 @@
 //! each with its own controller).
 
 use bbb_cache::MemoryPort;
-use bbb_mem::{DramController, NvmImage, NvmmController, PAGE_BYTES};
+use bbb_mem::{ByteStore, DramController, NvmmController, PAGE_BYTES};
 use bbb_sim::{Addr, AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
 
 /// Both memory controllers plus the address map that routes between them.
@@ -53,32 +53,22 @@ impl Memories {
         }
     }
 
-    /// Pre-loads one whole page (warm start) without simulated time. A
-    /// page inside one region becomes a single full-page media write; a
-    /// page straddling the DRAM/NVMM boundary (`dram_bytes` need not be a
-    /// page multiple) is routed block by block through
-    /// [`Memories::load`].
-    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
-        debug_assert_eq!(page.len(), PAGE_BYTES, "whole pages only");
+    /// Pre-loads `src`'s page at page-aligned `base` (warm start) without
+    /// simulated time: shared with `src` when it lies in one region, else
+    /// (`dram_bytes` need not be a page multiple) routed block by block
+    /// through [`Memories::load`].
+    pub fn load_page(&mut self, src: &ByteStore, base: Addr) {
         let nvmm = self.map.is_nvmm(base);
-        if nvmm == self.map.is_nvmm(base + PAGE_BYTES as u64 - 1) {
-            if nvmm {
-                self.nvmm.load_page(base, page);
-            } else {
-                self.dram.load_page(base, page);
+        if nvmm != self.map.is_nvmm(base + PAGE_BYTES as u64 - 1) {
+            for off in (0..PAGE_BYTES as u64).step_by(BLOCK_BYTES) {
+                let block = BlockAddr::containing(base + off);
+                self.load(block, &src.read_block(block));
             }
-            return;
+        } else if nvmm {
+            self.nvmm.share_page(src, base);
+        } else {
+            self.dram.share_page(src, base);
         }
-        for (i, chunk) in page.chunks_exact(BLOCK_BYTES).enumerate() {
-            let block = BlockAddr::containing(base + (i * BLOCK_BYTES) as u64);
-            self.load(block, chunk.try_into().expect("block-sized chunk"));
-        }
-    }
-
-    /// The post-crash NVMM image (media + battery-backed WPQ).
-    #[must_use]
-    pub fn crash_image(&self) -> NvmImage {
-        self.nvmm.crash_image()
     }
 
     /// Merged statistics from both controllers.
@@ -149,6 +139,6 @@ mod tests {
         m.load(BlockAddr::from_index(1), &[8; 64]);
         assert_eq!(m.stats().get("nvmm.writes"), 0);
         assert_eq!(m.stats().get("dram.writes"), 0);
-        assert_eq!(m.crash_image().read_block(nv), [7; 64]);
+        assert_eq!(m.nvmm().crash_image().read_block(nv), [7; 64]);
     }
 }

@@ -401,8 +401,8 @@ impl System {
     /// media, exactly as a reboot would find them. Recovery code then
     /// runs as ordinary workload operations.
     pub fn adopt_image(&mut self, image: &bbb_mem::NvmImage) {
-        for (base, page) in image.as_store().iter_pages() {
-            self.arch.write(base, page);
+        for (base, _) in image.as_store().iter_pages() {
+            self.arch.share_page(image.as_store(), base);
         }
         self.sync_media_from_arch();
     }
@@ -421,12 +421,12 @@ impl System {
         self.sync_media_from_arch();
     }
 
-    /// Copies every materialized architectural-memory page into the
-    /// backing media without consuming simulated time, one whole-page
-    /// media write per page (see [`Memories::load_page`]).
+    /// Shares every materialized architectural-memory page with the
+    /// backing media without consuming simulated time (see
+    /// [`Memories::load_page`]); a store's first write to a page copies it.
     pub fn sync_media_from_arch(&mut self) {
-        for (base, page) in self.arch.iter_pages() {
-            self.memories.load_page(base, page);
+        for (base, _) in self.arch.iter_pages() {
+            self.memories.load_page(&self.arch, base);
         }
     }
 
@@ -946,7 +946,7 @@ impl System {
         for core in &mut self.cores {
             core.sb.drain_all();
         }
-        self.memories.crash_image()
+        self.memories.nvmm().crash_image()
     }
 
     /// The post-crash image if power failed *now*, without crashing: the

@@ -1,12 +1,14 @@
 //! Sparse functional byte storage with copy-on-write snapshots.
 //!
-//! [`ByteStore`] backs both the memory devices (media contents) and the
-//! architectural memory workloads execute against. It is a sparse map of
-//! 4 KiB pages, so an 8 GB address space costs memory only for pages
-//! actually touched. Pages are reference-counted ([`Arc`]): cloning a
-//! store is O(resident pages) pointer bumps, and a clone shares every
-//! page with its parent until one of them writes — the property the
-//! crash-point sweep's snapshot path is built on.
+//! [`ByteStore`] backs both the device media and the architectural memory
+//! workloads execute against: a sparse map of 4 KiB pages, so an 8 GB
+//! address space costs memory only for pages actually touched. Pages are
+//! reference-counted ([`Arc`]) and copied only when written while shared:
+//! a clone (a crash-sweep snapshot) costs O(resident pages) pointer bumps,
+//! and the warm start shares each preloaded architectural page with media.
+//! A store writes architectural memory at commit, before any write-back
+//! reaches media, so architectural memory takes that copy; its own
+//! copy-on-write count is exported by no statistic.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -26,7 +28,7 @@ pub(crate) type Page = [u8; PAGE_BYTES];
 /// page with the original, and a page is deep-copied only when either
 /// side writes it while it is still shared. [`ByteStore::cow_page_copies`]
 /// counts those forced copies; [`ByteStore::shared_pages`] reports how
-/// many resident pages are currently shared with at least one snapshot.
+/// many resident pages are currently shared with another store.
 ///
 /// # Examples
 ///
@@ -82,8 +84,8 @@ impl ByteStore {
         self.pages.len()
     }
 
-    /// Number of resident pages currently shared with at least one other
-    /// snapshot (clone) of this store.
+    /// Number of resident pages currently shared with another store (a
+    /// clone, or one that took a page through [`ByteStore::share_page`]).
     #[must_use]
     pub fn shared_pages(&self) -> usize {
         self.pages
@@ -93,7 +95,7 @@ impl ByteStore {
     }
 
     /// Pages deep-copied by copy-on-write over this store's history
-    /// (a write landing on a page still shared with a snapshot).
+    /// (a write landing on a page still shared with another store).
     #[must_use]
     pub fn cow_page_copies(&self) -> u64 {
         self.cow_page_copies
@@ -219,6 +221,18 @@ impl ByteStore {
     /// Writes a little-endian `u64` at `addr`.
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
         self.write(addr, &value.to_le_bytes());
+    }
+
+    /// Makes the page holding `addr` share `src`'s page, copied when either
+    /// store next writes it; one write for [`Self::version`].
+    ///
+    /// # Panics
+    ///
+    /// If `src` has no page materialized at `addr`.
+    pub fn share_page(&mut self, src: &ByteStore, addr: Addr) {
+        let page = src.page_for(addr).expect("materialized source page");
+        self.version += 1;
+        self.pages.insert(addr >> PAGE_SHIFT, Arc::clone(page));
     }
 
     /// Iterates `(page_base_address, page_bytes)` over materialized pages,
@@ -373,6 +387,33 @@ mod tests {
         assert_eq!(n.resident_pages(), 2);
         assert_eq!(n.read_u64(0x3008), u64::from_le_bytes([0xAB; 8]));
         assert_eq!(n.read_u64(0x3000), 0);
+    }
+
+    #[test]
+    fn shared_page_is_copied_by_whichever_store_writes_it() {
+        let mut arch = ByteStore::new();
+        arch.write_u64(0x5008, 1);
+        let mut media = ByteStore::new();
+        media.write_u64(0x5010, 9); // replaced wholesale by the share
+        let before = media.version();
+        media.share_page(&arch, 0x5000);
+        assert_eq!(media.version(), before + 1);
+        assert_eq!(media, arch);
+        assert_eq!((arch.shared_pages(), media.shared_pages()), (1, 1));
+
+        // The first writer copies; the other store keeps the old page.
+        arch.write_u64(0x5008, 2);
+        assert_eq!(arch.cow_page_copies(), 1);
+        assert_eq!(media.read_u64(0x5008), 1);
+        media.write_u64(0x5008, 3);
+        assert_eq!(media.cow_page_copies(), 0, "media owned the page alone");
+        assert_eq!(arch.read_u64(0x5008), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "materialized source page")]
+    fn sharing_an_absent_page_panics() {
+        ByteStore::new().share_page(&ByteStore::new(), 0x5000);
     }
 
     #[test]

@@ -84,10 +84,9 @@ impl DramController {
         self.media.write_block(block, data);
     }
 
-    /// Pre-loads one whole page at page-aligned `base` with a single
-    /// full-page media write (see [`NvmmController::load_page`]).
-    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
-        self.media.write(base, page);
+    /// Pre-loads the page holding `addr` by sharing `src`'s.
+    pub fn share_page(&mut self, src: &ByteStore, addr: Addr) {
+        self.media.share_page(src, addr);
     }
 
     /// Exports counters under the `dram.` prefix.
@@ -217,13 +216,10 @@ impl NvmmController {
         self.media.write_block(block, data);
     }
 
-    /// Pre-loads one whole page at page-aligned `base` without consuming
-    /// simulated time: one full-page media write instead of one per
-    /// block. The bytes are copied into a page the media owns alone —
-    /// sharing the caller's page would make the first later write-back to
-    /// it a counted copy-on-write (`nvmm.cow_page_copies`).
-    pub fn load_page(&mut self, base: Addr, page: &[u8]) {
-        self.media.write(base, page);
+    /// Pre-loads the page holding `addr` by sharing `src`'s. A media write
+    /// to it before `src` writes it is a counted copy-on-write.
+    pub fn share_page(&mut self, src: &ByteStore, addr: Addr) {
+        self.media.share_page(src, addr);
     }
 
     /// Snapshot of the persistent image at a crash: media plus the WPQ,

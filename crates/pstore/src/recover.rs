@@ -12,8 +12,8 @@
 
 use crate::backing::PBacking;
 use crate::ring::{
-    data_addr, record_cksum, COMMIT_SEQ_OFF, COMMIT_WATERMARK_OFF, MAGIC_OFF, MAX_PAYLOAD_BYTES,
-    PAD_WORD, PSTORE_MAGIC, READ_MARK_OFF, READ_PUB_OFF, RECORD_HEADER_BYTES,
+    data_addr, record_cksum, COMMIT_SEQ_OFF, COMMIT_WATERMARK_OFF, DATA_OFF, MAGIC_OFF,
+    MAX_PAYLOAD_BYTES, PAD_WORD, PSTORE_MAGIC, READ_MARK_OFF, READ_PUB_OFF, RECORD_HEADER_BYTES,
 };
 
 /// One committed record as recovered from the ring.
@@ -71,7 +71,7 @@ pub(crate) fn parse_window<B: PBacking>(
             if rem == capacity {
                 return Err(format!("pad word at lap start (off {off})"));
             }
-            if off + rem >= committed_off {
+            if off.checked_add(rem).is_none_or(|end| end >= committed_off) {
                 return Err(format!("window ends in padding (off {off})"));
             }
             pending_pad += rem;
@@ -86,7 +86,8 @@ pub(crate) fn parse_window<B: PBacking>(
         if RECORD_HEADER_BYTES + len > rem {
             return Err(format!("record at off {off}: straddles the lap boundary"));
         }
-        if off + RECORD_HEADER_BYTES + len > committed_off {
+        let end = off.checked_add(RECORD_HEADER_BYTES + len);
+        if end.is_none_or(|end| end > committed_off) {
             return Err(format!("record at off {off}: runs past the watermark"));
         }
         let seq = backing.read_u64(data_addr(capacity, off + 8))?;
@@ -120,17 +121,15 @@ pub(crate) fn parse_window<B: PBacking>(
     // ahead. A stale previous-lap record with a valid checksum cannot
     // satisfy both chain and anchor.
     for pair in records.windows(2) {
-        if pair[1].seq != pair[0].seq + 1 {
+        if pair[0].seq.checked_add(1) != Some(pair[1].seq) {
             return Err(format!(
-                "record at off {} has seq {} (expected {})",
-                pair[1].off,
-                pair[1].seq,
-                pair[0].seq + 1
+                "record at off {} has seq {} (after seq {})",
+                pair[1].off, pair[1].seq, pair[0].seq
             ));
         }
     }
     if let Some(last) = records.last() {
-        if last.seq != committed_seq && last.seq + 1 != committed_seq {
+        if last.seq != committed_seq && last.seq.checked_add(1) != Some(committed_seq) {
             return Err(format!(
                 "window ends at seq {} but the watermark names {committed_seq}",
                 last.seq
@@ -167,10 +166,28 @@ pub fn recover<B: PBacking>(backing: &mut B) -> Result<RingSnapshot, String> {
     if capacity < 512 || !capacity.is_multiple_of(64) {
         return Err(format!("implausible capacity {capacity}"));
     }
+    // The whole data area must exist: its last word is readable and no
+    // data address overflows.
+    let Some(end) = DATA_OFF.checked_add(capacity) else {
+        return Err(format!("capacity {capacity} overflows the ring's extent"));
+    };
+    backing
+        .read_u64(end - 8)
+        .map_err(|e| format!("capacity {capacity} runs past the backing: {e}"))?;
     let committed_off = backing.read_u64(COMMIT_WATERMARK_OFF)?;
     let committed_seq = backing.read_u64(COMMIT_SEQ_OFF)?;
     let read_off = backing.read_u64(READ_MARK_OFF)?;
     let read_pub = backing.read_u64(READ_PUB_OFF)?;
+    // Records and pads are 8-byte multiples, so every offset is aligned;
+    // an unaligned one would also make word reads straddle pages.
+    if [committed_off, read_off, read_pub]
+        .iter()
+        .any(|o| !o.is_multiple_of(8))
+    {
+        return Err(format!(
+            "unaligned offsets: read {read_pub}/{read_off}, committed {committed_off}"
+        ));
+    }
     if read_pub > read_off {
         return Err(format!(
             "published release {read_pub} ahead of the durable mark {read_off}"
@@ -189,6 +206,10 @@ pub fn recover<B: PBacking>(backing: &mut B) -> Result<RingSnapshot, String> {
     if committed_off > 0 && committed_seq == 0 {
         return Err("watermark moved but no sequence ever committed".into());
     }
+    // The producer attaches at `committed_seq + 1`.
+    if committed_seq == u64::MAX {
+        return Err("sequence numbers exhausted".into());
+    }
     let records = parse_window(backing, capacity, read_off, committed_off, committed_seq)?;
     Ok(RingSnapshot {
         capacity,
@@ -204,7 +225,7 @@ pub fn recover<B: PBacking>(backing: &mut B) -> Result<RingSnapshot, String> {
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
-    use crate::ring::{backing_len, RingWriter, DATA_OFF};
+    use crate::ring::{backing_len, RingWriter};
     use crate::shim::Discipline;
 
     fn ring_with(n: u64) -> (MemBacking, RingWriter) {

@@ -114,7 +114,10 @@ fn orphan_record_at<B: PBacking>(
     let mut word0 = backing.read_u64(data_addr(capacity, off))?;
     let rem = capacity - off % capacity;
     if word0 == PAD_WORD && rem < capacity {
-        off += rem;
+        let Some(next) = off.checked_add(rem) else {
+            return Ok(false);
+        };
+        off = next;
         word0 = backing.read_u64(data_addr(capacity, off))?;
     }
     let len = word0 & 0xFFFF_FFFF;
@@ -122,7 +125,9 @@ fn orphan_record_at<B: PBacking>(
     if len == 0 || !len.is_multiple_of(8) || len > MAX_PAYLOAD_BYTES {
         return Ok(false);
     }
-    if RECORD_HEADER_BYTES + len > capacity - off % capacity {
+    if RECORD_HEADER_BYTES + len > capacity - off % capacity
+        || off.checked_add(RECORD_HEADER_BYTES + len).is_none()
+    {
         return Ok(false);
     }
     if backing.read_u64(data_addr(capacity, off + 8))? != seq {

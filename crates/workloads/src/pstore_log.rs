@@ -305,7 +305,9 @@ pub fn check_pstore_recovery(image: &NvmImage, base: Addr, seed: u64) -> Result<
     }
     impl PBacking for ImgBacking<'_> {
         fn read_u64(&mut self, off: u64) -> Result<u64, String> {
-            Ok(self.image.read_u64(self.base + off))
+            let addr = self.base.checked_add(off);
+            let addr = addr.ok_or_else(|| format!("read past the address space: off {off}"))?;
+            Ok(self.image.read_u64(addr))
         }
         fn write_u64(&mut self, _off: u64, _v: u64) -> Result<(), String> {
             Err("crash image is read-only".into())

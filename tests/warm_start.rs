@@ -1,10 +1,11 @@
-//! The KV warm start builds its slot table page by page and mirrors arch
-//! memory to media one whole page at a time. Both must be invisible: the
-//! machine boots with the bytes a per-slot writer would have produced and
-//! runs the identical simulated history.
+//! The KV warm start builds its slot table page by page and shares each
+//! arch page with media instead of copying it. Both must be invisible:
+//! the machine boots with the bytes a per-slot writer would have produced
+//! and runs the identical simulated history, and a store that arch has
+//! committed reaches media only when it is written back.
 
-use bbb::core::{PersistencyMode, StreamWorkload, System};
-use bbb::mem::ByteStore;
+use bbb::core::{Op, PersistencyMode, StreamWorkload, System};
+use bbb::mem::{ByteStore, NvmImage};
 use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::{KvLayout, KvMix, KvSpec, KvWorkload};
 
@@ -76,4 +77,79 @@ fn kv_a_stream_matches_batch_adapter() {
     let stats = stream_sys.stats();
     assert!(stats.get("cores.stores") > 0, "mix A must write");
     assert_eq!(stats, batch_sys.stats());
+}
+
+/// A slot's payload word that the warm start preloads.
+fn preloaded_payload(layout: &KvLayout) -> (u64, u64) {
+    let addr = layout.slot_addr(1, 2) + 16;
+    (addr, layout.payload_of(1, 2, 1))
+}
+
+#[test]
+fn committed_store_on_a_shared_page_stays_out_of_media() {
+    let cfg = SimConfig::small_for_tests();
+    let layout = layout(&cfg);
+    let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+    let mut sys = System::new(cfg, PersistencyMode::Pmem).unwrap();
+    sys.prepare_stream(&mut kv);
+
+    let (addr, old) = preloaded_payload(&layout);
+    assert_eq!(sys.crash_image(false).read_u64(addr), old);
+    sys.run_single_core(0, vec![Op::store_u64(addr, !old)])
+        .unwrap();
+    assert_eq!(sys.arch_mem().read_u64(addr), !old, "committed to arch");
+    let image = sys.crash_image(false);
+    assert_eq!(image.read_u64(addr), old, "not yet written back");
+    let (_, media_copies) = sys.media_cow_stats();
+    assert_eq!(media_copies, 0, "arch copied the page, not media");
+}
+
+#[test]
+fn kv_a_run_makes_no_media_copy_on_write() {
+    let cfg = SimConfig::small_for_tests();
+    let layout = layout(&cfg);
+    for mode in PersistencyMode::ALL {
+        let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+        let mut sys = System::new(cfg.clone(), mode).unwrap();
+        sys.prepare_stream(&mut kv);
+        sys.run_stream(&mut kv, u64::MAX);
+        sys.drain_all_store_buffers();
+        let stats = sys.stats();
+        assert!(
+            stats.get("nvmm.writes") > 0,
+            "{mode:?}: media must be written"
+        );
+        assert_eq!(stats.get("nvmm.cow_page_copies"), 0, "{mode:?}");
+    }
+}
+
+#[test]
+fn adopted_image_is_shared_until_a_store_is_written_back() {
+    let cfg = SimConfig::small_for_tests();
+    let base = AddressMap::new(&cfg).persistent_base();
+    let mut store = ByteStore::new();
+    for page in 0..4u64 {
+        store.write_u64(base + page * 4096 + 8 * page, 0xA0 + page);
+    }
+    let image = NvmImage::from_store(store);
+    let mut sys = System::new(cfg, PersistencyMode::Pmem).unwrap();
+    sys.adopt_image(&image);
+    assert!(sys.arch_mem() == image.as_store(), "arch differs");
+    assert!(sys.crash_image(false) == image, "media differs");
+
+    let addr = base + 4096 + 8;
+    sys.run_single_core(0, vec![Op::store_u64(addr, 7)])
+        .unwrap();
+    assert_eq!(sys.arch_mem().read_u64(addr), 7);
+    assert_eq!(image.read_u64(addr), 0xA1, "the image is never written");
+    assert_eq!(
+        sys.crash_image(false).read_u64(addr),
+        0xA1,
+        "not written back"
+    );
+
+    sys.run_single_core(0, vec![Op::Clwb { addr }, Op::Fence])
+        .unwrap();
+    assert_eq!(sys.crash_image(false).read_u64(addr), 7, "written back");
+    assert_eq!(image.read_u64(addr), 0xA1);
 }
