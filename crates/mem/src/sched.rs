@@ -4,6 +4,12 @@
 //! ticking queues, [`ChannelScheduler`] assigns each submitted request a
 //! start time on the least-loaded channel and returns its completion cycle,
 //! which is exact for FCFS service.
+//!
+//! The channels are identical, so only the multiset of their free cycles
+//! matters; it is kept in a min-heap and a request costs O(log channels).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bbb_sim::Cycle;
 
@@ -18,9 +24,9 @@ use bbb_sim::Cycle;
 /// assert_eq!(s.schedule(0, 100), (0, 100));   // channel 1
 /// assert_eq!(s.schedule(0, 100), (100, 200)); // queues behind channel 0
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ChannelScheduler {
-    free_at: Vec<Cycle>,
+    free_at: BinaryHeap<Reverse<Cycle>>,
 }
 
 impl ChannelScheduler {
@@ -33,47 +39,18 @@ impl ChannelScheduler {
     pub fn new(channels: usize) -> Self {
         assert!(channels > 0, "need at least one channel");
         Self {
-            free_at: vec![0; channels],
+            free_at: BinaryHeap::from(vec![Reverse(0); channels]),
         }
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Schedules a request arriving at `now` that occupies a channel for
     /// `latency` cycles. Returns `(start, completion)`.
     pub fn schedule(&mut self, now: Cycle, latency: Cycle) -> (Cycle, Cycle) {
-        let idx = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .map(|(i, _)| i)
-            .expect("at least one channel");
-        let start = now.max(self.free_at[idx]);
+        let mut earliest = self.free_at.peek_mut().expect("at least one channel");
+        let start = now.max(earliest.0);
         let completion = start + latency;
-        self.free_at[idx] = completion;
+        *earliest = Reverse(completion);
         (start, completion)
-    }
-
-    /// The earliest cycle at which any channel is free, given time `now`.
-    #[must_use]
-    pub fn earliest_free(&self, now: Cycle) -> Cycle {
-        self.free_at
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one channel")
-            .max(now)
-    }
-
-    /// Number of channels busy at `now`.
-    #[must_use]
-    pub fn busy_channels(&self, now: Cycle) -> usize {
-        self.free_at.iter().filter(|&&t| t > now).count()
     }
 }
 
@@ -97,27 +74,6 @@ mod tests {
         s.schedule(0, 100);
         // After the channel frees, a later request starts at arrival.
         assert_eq!(s.schedule(500, 10), (500, 510));
-    }
-
-    #[test]
-    fn earliest_free_tracks_load() {
-        let mut s = ChannelScheduler::new(2);
-        assert_eq!(s.earliest_free(0), 0);
-        s.schedule(0, 100);
-        assert_eq!(s.earliest_free(0), 0); // second channel idle
-        s.schedule(0, 30);
-        assert_eq!(s.earliest_free(0), 30);
-        assert_eq!(s.earliest_free(1000), 1000);
-    }
-
-    #[test]
-    fn busy_count() {
-        let mut s = ChannelScheduler::new(3);
-        s.schedule(0, 10);
-        s.schedule(0, 20);
-        assert_eq!(s.busy_channels(5), 2);
-        assert_eq!(s.busy_channels(15), 1);
-        assert_eq!(s.busy_channels(25), 0);
     }
 
     #[test]

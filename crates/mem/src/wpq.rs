@@ -9,6 +9,14 @@
 //! Timing is analytic: each accepted entry is immediately assigned a media
 //! start/completion window on the controller's channels; the entry occupies
 //! a WPQ slot until its media write completes.
+//!
+//! Entries retire in completion order from a min-heap of
+//! `(completion, block)`, so an offer costs O(log capacity) instead of a
+//! scan of the queue. A write that replaces a block's in-flight entry
+//! leaves the old heap item stale; it is dropped when it reaches the top.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bbb_sim::{BlockAddr, Counter, Cycle, FxHashMap, Stats, BLOCK_BYTES};
 
@@ -50,6 +58,9 @@ pub struct WpqAccept {
 pub struct WritePendingQueue {
     capacity: usize,
     entries: FxHashMap<BlockAddr, Entry>,
+    /// Every live entry's `(completion, block)`, plus stale items of
+    /// entries since replaced by a newer write to the same block.
+    retire: BinaryHeap<Reverse<(Cycle, BlockAddr)>>,
     media_writes: Counter,
     coalesced: Counter,
     backpressure_events: Counter,
@@ -67,6 +78,7 @@ impl WritePendingQueue {
         Self {
             capacity,
             entries: FxHashMap::default(),
+            retire: BinaryHeap::new(),
             media_writes: Counter::new(),
             coalesced: Counter::new(),
             backpressure_events: Counter::new(),
@@ -80,7 +92,8 @@ impl WritePendingQueue {
     }
 
     /// Entries still occupying the queue at `now` (media write not yet
-    /// complete).
+    /// complete). A scan of the queue: `now` may be any cycle, and only
+    /// crash-time accounting asks.
     #[must_use]
     pub fn occupancy(&self, now: Cycle) -> usize {
         self.entries.values().filter(|e| e.completion > now).count()
@@ -101,16 +114,12 @@ impl WritePendingQueue {
         write_latency: Cycle,
     ) -> WpqAccept {
         self.purge(now);
+        // After the purge every entry completes after `now`, so the queue
+        // length is its occupancy.
         let mut accept = now;
-        if self.coalescable(block, now).is_none() && self.occupancy(now) >= self.capacity {
+        if self.coalescable(block, now).is_none() && self.entries.len() >= self.capacity {
             self.backpressure_events.inc();
-            accept = self
-                .entries
-                .values()
-                .map(|e| e.completion)
-                .filter(|&c| c > now)
-                .min()
-                .unwrap_or(now);
+            accept = self.earliest_completion();
             self.purge(accept);
         }
         // The coalesce decision is made at the cycle the write is actually
@@ -128,6 +137,7 @@ impl WritePendingQueue {
         }
         let (start, completion) = media.schedule(accept, write_latency);
         self.entries.insert(block, Entry { start, completion });
+        self.retire.push(Reverse((completion, block)));
         self.media_writes.inc();
         WpqAccept {
             persist: accept,
@@ -152,9 +162,38 @@ impl WritePendingQueue {
         self.entries.get(&block).is_some_and(|e| e.completion > now)
     }
 
-    /// Drops entries whose media writes have completed.
+    /// True if the heap item `(completion, block)` is the block's current
+    /// entry rather than one a newer write replaced.
+    fn is_live(&self, completion: Cycle, block: BlockAddr) -> bool {
+        self.entries
+            .get(&block)
+            .is_some_and(|e| e.completion == completion)
+    }
+
+    /// Drops entries whose media writes have completed, in completion
+    /// order, with the stale heap items met on the way.
     fn purge(&mut self, now: Cycle) {
-        self.entries.retain(|_, e| e.completion > now);
+        while let Some(&Reverse((completion, block))) = self.retire.peek() {
+            if completion > now {
+                break;
+            }
+            self.retire.pop();
+            if self.is_live(completion, block) {
+                self.entries.remove(&block);
+            }
+        }
+    }
+
+    /// The earliest completion among the queued entries, dropping stale
+    /// heap items above it. The queue must not be empty.
+    fn earliest_completion(&mut self) -> Cycle {
+        while let Some(&Reverse((completion, block))) = self.retire.peek() {
+            if self.is_live(completion, block) {
+                return completion;
+            }
+            self.retire.pop();
+        }
+        unreachable!("a full WPQ has a live entry")
     }
 
     /// Bytes that the flush-on-fail battery must drain if power is lost at
@@ -274,6 +313,37 @@ mod tests {
         assert_eq!(a.persist, WLAT, "stalled until block 1's write completed");
         assert_eq!(q.stats().get("wpq.backpressure_events"), 1);
         assert_eq!(q.stats().get("wpq.media_writes"), 3);
+    }
+
+    /// Block 1's in-flight write (completing at WLAT) replaced by a second
+    /// write completing at 500 + WLAT, on two channels: the first write's
+    /// heap item goes stale.
+    fn with_replaced_entry() -> (WritePendingQueue, ChannelScheduler) {
+        let mut q = WritePendingQueue::new(2);
+        let mut m = ChannelScheduler::new(2);
+        q.offer(0, BlockAddr::from_index(1), &mut m, WLAT);
+        let replaced = q.offer(500, BlockAddr::from_index(1), &mut m, WLAT);
+        assert!(!replaced.coalesced);
+        assert_eq!(replaced.media_completion, 500 + WLAT);
+        (q, m)
+    }
+
+    #[test]
+    fn replaced_entry_does_not_retire_at_its_old_completion() {
+        let (mut q, mut m) = with_replaced_entry();
+        // Purging past WLAT drops the stale item, not block 1's entry.
+        q.offer(WLAT + 100, BlockAddr::from_index(2), &mut m, WLAT);
+        assert!(q.holds(BlockAddr::from_index(1), WLAT + 200));
+        assert_eq!(q.occupancy(WLAT + 200), 2);
+    }
+
+    #[test]
+    fn backpressure_waits_for_the_earliest_live_completion() {
+        let (mut q, mut m) = with_replaced_entry();
+        q.offer(600, BlockAddr::from_index(2), &mut m, WLAT); // completes at 2 * WLAT
+        let a = q.offer(700, BlockAddr::from_index(3), &mut m, WLAT);
+        assert_eq!(a.persist, 500 + WLAT, "not the stale item's WLAT");
+        assert_eq!(q.stats().get("wpq.backpressure_events"), 1);
     }
 
     #[test]

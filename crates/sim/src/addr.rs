@@ -185,9 +185,12 @@ impl AddressMap {
 
     /// True if `addr` lies in the persistent heap, i.e. stores to it are
     /// persisting stores that must enter the persistence domain.
+    ///
+    /// Total: an address outside physical memory is not persistent, so
+    /// recovery oracles can reject a hostile pointer instead of panicking.
     #[must_use]
     pub fn is_persistent(&self, addr: Addr) -> bool {
-        self.region_of(addr) == Region::NvmmPersistent
+        (self.persistent_base()..self.persistent_end()).contains(&addr)
     }
 
     /// True if every byte of `block` lies in the persistent heap.
@@ -249,6 +252,14 @@ mod tests {
         assert!(m.is_nvmm(a));
         assert!(m.is_persistent_block(BlockAddr::containing(a)));
         assert!(!m.is_persistent(0));
+    }
+
+    #[test]
+    fn out_of_range_is_not_persistent() {
+        let m = map();
+        assert!(!m.is_persistent(m.end()));
+        assert!(!m.is_persistent(0xFFFF_FFFF_FFFF_FFF8));
+        assert!(!m.is_persistent_block(BlockAddr::containing(u64::MAX)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use bbb::workloads::btree::check_btree_recovery;
 use bbb::workloads::ctree::check_ctree_recovery;
 use bbb::workloads::hashmap::check_hashmap_recovery;
 use bbb::workloads::rtree::{check_rtree_recovery, Rect};
-use bbb::workloads::HashmapWorkload;
+use bbb::workloads::{HashmapWorkload, LinkedList};
 
 const LEVELS: u64 = 20;
 const NODE: u64 = 256;
@@ -150,4 +150,59 @@ fn hashmap_oracle_rejects_buckets_sharing_one_chain() {
     }
     let image = NvmImage::from_store(store);
     assert_budget_spent(check_hashmap_recovery(&image, &map, buckets, BUCKETS));
+}
+
+/// A pointer past the end of physical memory.
+const WILD: u64 = 0xFFFF_FFFF_FFFF_FFF8;
+
+/// An image whose only word is `WILD` at `slot`.
+fn wild_pointer_at(slot: u64) -> NvmImage {
+    let mut store = ByteStore::new();
+    store.write_u64(slot, WILD);
+    NvmImage::from_store(store)
+}
+
+fn assert_malformed<T: std::fmt::Debug, E: std::fmt::Debug>(result: Result<T, E>) {
+    let err = result.expect_err("a pointer outside physical memory is corruption");
+    assert!(
+        format!("{err:?}").to_lowercase().contains("malformed"),
+        "the walk must reject the wild pointer: {err:?}"
+    );
+}
+
+#[test]
+fn hashmap_oracle_rejects_a_pointer_outside_memory() {
+    let map = map();
+    let buckets = map.persistent_base();
+    let image = wild_pointer_at(buckets);
+    assert_malformed(check_hashmap_recovery(&image, &map, buckets, 4));
+}
+
+#[test]
+fn ctree_oracle_rejects_a_root_outside_memory() {
+    let map = map();
+    let image = wild_pointer_at(map.persistent_base());
+    assert_malformed(check_ctree_recovery(&image, &map, map.persistent_base()));
+}
+
+#[test]
+fn rtree_oracle_rejects_a_root_outside_memory() {
+    let map = map();
+    let image = wild_pointer_at(map.persistent_base());
+    assert_malformed(check_rtree_recovery(&image, &map, map.persistent_base()));
+}
+
+#[test]
+fn btree_oracle_rejects_a_root_outside_memory() {
+    let map = map();
+    let image = wild_pointer_at(map.persistent_base());
+    assert_malformed(check_btree_recovery(&image, &map, map.persistent_base()));
+}
+
+#[test]
+fn linked_list_oracle_rejects_a_head_outside_memory() {
+    let map = map();
+    let image = wild_pointer_at(map.persistent_base());
+    let list = LinkedList::new(map.persistent_base());
+    assert_malformed(list.check_recovery(&image, &map));
 }
