@@ -12,12 +12,8 @@ fn main() {
     t.row_owned(vec![
         "Processor".into(),
         format!(
-            "{} cores, OoO, 2GHz, {}-wide issue/retire, ROB {}, LSQ {}, SB {}",
-            c.cores,
-            c.core.issue_width,
-            c.core.rob_entries,
-            c.core.lsq_entries,
-            c.core.store_buffer_entries
+            "{} cores, 2GHz, committed-op interpreter, SB {} (ROB, LSQ, issue width not modelled)",
+            c.cores, c.core.store_buffer_entries
         ),
     ]);
     t.row_owned(vec![

@@ -13,12 +13,12 @@ use bbb_core::PersistencyMode;
 use bbb_sim::Table;
 use bbb_workloads::WorkloadKind;
 
-const MODES: [(&str, PersistencyMode); 5] = [
-    ("eadr", PersistencyMode::Eadr),
-    ("bbb-mem", PersistencyMode::BbbMemorySide),
-    ("bbb-proc", PersistencyMode::BbbProcessorSide),
-    ("bep", PersistencyMode::Bep),
-    ("pmem", PersistencyMode::Pmem),
+const MODES: [PersistencyMode; 5] = [
+    PersistencyMode::Eadr,
+    PersistencyMode::BbbMemorySide,
+    PersistencyMode::BbbProcessorSide,
+    PersistencyMode::Bep,
+    PersistencyMode::Pmem,
 ];
 
 /// WAL sizing per preset: (total ring-record budget, appends per core).
@@ -49,7 +49,7 @@ fn main() {
 
     let specs: Vec<ExperimentSpec> = MODES
         .iter()
-        .map(|&(_, mode)| ExperimentSpec::new(WorkloadKind::Wal, mode, &cfg, scale))
+        .map(|&mode| ExperimentSpec::new(WorkloadKind::Wal, mode, &cfg, scale))
         .collect();
     #[allow(clippy::disallowed_methods)] // wall clock goes to stderr only
     let t0 = std::time::Instant::now();
@@ -79,10 +79,10 @@ fn main() {
             "WA",
         ],
     );
-    for ((label, _), r) in MODES.iter().zip(&results) {
+    for (mode, r) in MODES.into_iter().zip(&results) {
         let persisted_bytes = r.stats.get("cores.persisting_store_bytes");
         t.row_owned(vec![
-            (*label).into(),
+            mode.tag().into(),
             r.cycles().to_string(),
             format!("{:.3}", r.cycles() as f64 / base),
             r.stats.get("persist.latency.p50").to_string(),

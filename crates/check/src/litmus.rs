@@ -33,9 +33,6 @@ use bbb_sim::{AddressMap, SimConfig};
 use crate::checker::{CheckReport, PersistOrderChecker};
 use crate::model::{Inst, Loc, Prog};
 
-/// Short mode label for table rows: the crashfuzz mode tag.
-pub use bbb_crashfuzz::mode_tag as mode_label;
-
 /// Byte offsets (from the persistent heap base) of the locations the
 /// shapes use. All in distinct cache blocks.
 const X: u64 = 0x0000;
@@ -427,7 +424,7 @@ mod tests {
                 row.pass(),
                 "{} under {}: expected {} (witness: {}), observed {} with {} violations",
                 row.shape,
-                mode_label(row.mode),
+                row.mode.tag(),
                 row.expect.verdict.label(),
                 row.expect.witness,
                 row.observed_label(),
@@ -484,7 +481,7 @@ mod tests {
                     table_forbids,
                     "{} under {}: model and verdict table disagree",
                     shape.name,
-                    mode_label(mode)
+                    mode.tag()
                 );
             }
         }
@@ -515,7 +512,7 @@ mod tests {
                         verdicts.allowed.contains(&outcome),
                         "{} under {} after {k} ops: sim outcome {outcome:?} is model-forbidden",
                         shape.name,
-                        mode_label(mode)
+                        mode.tag()
                     );
                 }
             }
@@ -535,7 +532,7 @@ mod tests {
                     row.report.ok(),
                     "{} under {}: {:?}",
                     shape.name,
-                    mode_label(mode),
+                    mode.tag(),
                     row.report.witnesses
                 );
             }

@@ -142,12 +142,6 @@ impl PersistLatencyTracker {
         }
     }
 
-    /// The merged latency distribution (a mergeable monoid — shard
-    /// histograms combine with [`LatencyHistogram::merge`]).
-    pub(crate) fn histogram(&self) -> &LatencyHistogram {
-        &self.hist
-    }
-
     /// Stores tracked but never observed persisting (pending at the end of
     /// the run, or evicted past the bounded queue).
     pub(crate) fn unresolved(&self) -> u64 {
@@ -181,8 +175,8 @@ mod tests {
             let mut t = PersistLatencyTracker::new(mode, true, 2);
             t.on_store_commit(0, BlockAddr::containing(0x1000), 100);
             t.on_store_commit(1, BlockAddr::containing(0x2000), 200);
-            assert_eq!(t.histogram().samples(), 2);
-            assert_eq!(t.histogram().max(), 0);
+            assert_eq!(t.hist.samples(), 2);
+            assert_eq!(t.hist.max(), 0);
             assert_eq!(t.unresolved(), 0);
         }
     }
@@ -195,11 +189,11 @@ mod tests {
         t.on_store_commit(0, a, 100);
         t.on_store_commit(0, b, 110);
         t.on_clwb(0, a, 600);
-        assert_eq!(t.histogram().samples(), 1);
-        assert_eq!(t.histogram().max(), 500);
+        assert_eq!(t.hist.samples(), 1);
+        assert_eq!(t.hist.max(), 500);
         assert_eq!(t.unresolved(), 1);
         t.on_clwb(0, b, 700);
-        assert_eq!(t.histogram().samples(), 2);
+        assert_eq!(t.hist.samples(), 2);
         assert_eq!(t.unresolved(), 0);
     }
 
@@ -210,8 +204,8 @@ mod tests {
         t.on_store_commit(0, BlockAddr::containing(0x2000), 150);
         t.on_store_commit(1, BlockAddr::containing(0x3000), 120);
         t.on_fence(0, 1000);
-        assert_eq!(t.histogram().samples(), 2);
-        assert_eq!(t.histogram().max(), 900);
+        assert_eq!(t.hist.samples(), 2);
+        assert_eq!(t.hist.max(), 900);
         assert_eq!(t.unresolved(), 1, "core 1 never fenced");
     }
 
@@ -229,10 +223,10 @@ mod tests {
     fn no_battery_sb_measures_drain_latency() {
         let mut t = PersistLatencyTracker::new(PersistencyMode::BbbMemorySide, false, 1);
         t.on_store_commit(0, BlockAddr::containing(0x1000), 100);
-        assert_eq!(t.histogram().samples(), 0, "commit alone records nothing");
+        assert_eq!(t.hist.samples(), 0, "commit alone records nothing");
         t.on_sb_drain(100, 140);
-        assert_eq!(t.histogram().samples(), 1);
-        assert_eq!(t.histogram().max(), 40);
+        assert_eq!(t.hist.samples(), 1);
+        assert_eq!(t.hist.max(), 40);
     }
 
     #[test]

@@ -71,5 +71,5 @@ pub use mode::PersistencyMode;
 pub use persist::PersistState;
 pub use procside::ProcSidePb;
 pub use stream::{OpStream, StreamWorkload};
-pub use system::{EventProbe, ProbeKind, RunCursor, RunSummary, StopAt, System, SystemError};
+pub use system::{ProbeKind, RunCursor, RunSummary, StopAt, System, SystemError};
 pub use workload::Workload;

@@ -86,6 +86,19 @@ impl PersistencyMode {
         matches!(self, PersistencyMode::Eadr)
     }
 
+    /// Short tag for labels, metric names and generated test names, e.g.
+    /// `bbb-mem`.
+    #[must_use]
+    pub const fn tag(self) -> &'static str {
+        match self {
+            PersistencyMode::Pmem => "pmem",
+            PersistencyMode::Eadr => "eadr",
+            PersistencyMode::BbbMemorySide => "bbb-mem",
+            PersistencyMode::BbbProcessorSide => "bbb-proc",
+            PersistencyMode::Bep => "bep",
+        }
+    }
+
     /// Where the point of persistency sits (Table I "PoP location" row).
     #[must_use]
     pub const fn pop_location(self) -> &'static str {
@@ -174,6 +187,13 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn tags_are_stable() {
+        // Table rows and metric names in the committed records use them.
+        let tags: Vec<&str> = PersistencyMode::ALL.iter().map(|m| m.tag()).collect();
+        assert_eq!(tags, ["pmem", "eadr", "bbb-mem", "bbb-proc", "bep"]);
     }
 
     #[test]

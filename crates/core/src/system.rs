@@ -16,7 +16,8 @@
 //! core's bbPB **in the same cycle the L1D is written**, which is the
 //! design's central property (PoV == PoP).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::iter::Peekable;
@@ -25,8 +26,8 @@ use bbb_cache::CacheHierarchy;
 use bbb_cpu::{CoreState, Op, SbEntry};
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{
-    merge_logs, AddressMap, BlockAddr, Cycle, EventKind, EventQueue, MemoryPort, SchedProfile,
-    SimConfig, Stats, TraceEvent, TraceLog, BLOCK_BYTES,
+    merge_logs, AddressMap, BlockAddr, Cycle, EventKind, MemoryPort, SchedProfile, SimConfig,
+    Stats, TraceEvent, TraceLog, BLOCK_BYTES,
 };
 
 use crate::crash::CrashCost;
@@ -100,9 +101,10 @@ pub struct RunCursor {
     queues: Vec<VecDeque<Op>>,
     active: Vec<bool>,
     ops: u64,
-    /// The run loop's event heap, kept here only so repeated calls reuse
-    /// its allocation; every call clears and reseeds it.
-    events: EventQueue,
+    /// The run loop's min-heap of `(cycle, core)` events, earliest cycle
+    /// then lowest core first. Kept here only so repeated calls reuse its
+    /// allocation; every call clears and reseeds it.
+    events: BinaryHeap<Reverse<(Cycle, usize)>>,
 }
 
 impl RunCursor {
@@ -113,7 +115,7 @@ impl RunCursor {
             queues: vec![VecDeque::new(); cores],
             active: vec![true; cores],
             ops: 0,
-            events: EventQueue::new(),
+            events: BinaryHeap::new(),
         }
     }
 
@@ -130,15 +132,15 @@ impl RunCursor {
     }
 }
 
-/// What [`System::run_probed`] records boundary cycles for. Kept separate
-/// from [`EventProbe`] on purpose: adding fields to the probe struct would
-/// change boundary detection — and therefore the committed sweep
-/// artifacts — for every existing workload.
+/// What [`System::run_probed`] records boundary cycles for. Each kind is
+/// one signal, a sum of monotone counters sampled after every op. Adding
+/// a counter to a kind would change boundary detection, and therefore the
+/// committed sweep artifacts, for every existing workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
-    /// Persist-relevant ordering events (fences, forced drains, WPQ
-    /// backpressure): the default crash-point planner signal, sampled as
-    /// [`System::probe_events`].
+    /// Persist-relevant ordering events: fences (epoch barriers under
+    /// BEP), forced persist-buffer drains and WPQ backpressure stalls. The
+    /// default crash-point planner signal.
     Ordering,
     /// Committed persisting stores: the store-granular grid the pstore
     /// protocol sweep crashes on. A store-granular protocol (plain
@@ -156,17 +158,6 @@ enum Feed<'a> {
     Batch(&'a mut dyn Workload),
     /// Pull interface: `next_op`, zero queueing.
     Stream(&'a mut dyn OpStream),
-}
-
-/// Why a compute batch-retire fold returned to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FoldOutcome {
-    /// The stop condition fired on one of the folded ops.
-    Stopped,
-    /// Another core's event became due mid-fold.
-    Yielded,
-    /// The queue's run of compute ops ended; keep stepping this core.
-    RanDry,
 }
 
 /// A structure whose contents survive a power failure: the entries of
@@ -219,21 +210,6 @@ where
         let store = *q.next().expect("peeked front");
         visit(Write::Store { core: *core, store });
     }
-}
-
-/// Monotone event counters sampled between ops — the cheap signal a
-/// crash-point planner uses to place boundary points straddling epoch
-/// barriers, forced bbPB drains, and WPQ backpressure stalls, without
-/// paying for a full [`Stats`] merge per op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventProbe {
-    /// Fences committed across all cores (epoch barriers under BEP).
-    pub fences: u64,
-    /// Persist-buffer drains forced by coherence/inclusion (memory-side),
-    /// or any ordered drain (processor-side organizations).
-    pub forced_drains: u64,
-    /// WPQ backpressure stalls at the NVMM controller.
-    pub wpq_backpressure: u64,
 }
 
 /// The simulated machine.
@@ -532,18 +508,9 @@ impl System {
         stop: StopAt,
         mut probe: Option<(&mut Vec<Cycle>, ProbeKind)>,
     ) -> RunSummary {
-        let mut last = match probe {
-            Some((_, ProbeKind::Ordering)) => self.probe_events(),
-            _ => EventProbe::default(),
-        };
-        let mut last_pstores: Vec<u64> = match probe {
-            Some((_, ProbeKind::PersistingStores)) => self
-                .cores
-                .iter()
-                .map(|c| c.persisting_stores.get())
-                .collect(),
-            _ => Vec::new(),
-        };
+        let mut last = probe
+            .as_ref()
+            .map_or(0, |&(_, kind)| self.probe_signal(kind));
         let n = self.cores.len();
         assert_eq!(cursor.queues.len(), n, "cursor built for another machine");
         // One completion event per active core, at its clock as this call
@@ -552,7 +519,7 @@ impl System {
         cursor.events.clear();
         for c in 0..n {
             if cursor.active[c] {
-                cursor.events.push(self.cores[c].ready_at, c);
+                cursor.events.push(Reverse((self.cores[c].ready_at, c)));
             }
         }
         'sched: loop {
@@ -561,7 +528,7 @@ impl System {
                 StopAt::Cycle(at) if self.now_max >= at => break,
                 _ => {}
             }
-            let Some((at, core)) = cursor.events.pop() else {
+            let Some(Reverse((at, core))) = cursor.events.pop() else {
                 break;
             };
             debug_assert!(cursor.active[core] && at == self.cores[core].ready_at);
@@ -601,43 +568,14 @@ impl System {
                         }
                     },
                 };
-                // Batch-retire fast path: fold a run of consecutive queued
-                // pure-compute ops into one scheduler event. Each folded op
-                // replays step_op's Compute semantics exactly — per-op SB
-                // pump at the advancing clock, per-op stop check, per-op
-                // yield check against the heap root — so the fold commits
-                // precisely the ops the unfolded loop would have before
-                // yielding, at identical cycles, with identical SB/WPQ/bbPB
-                // side effects. Disabled under a probe: probed runs must
-                // sample boundary state between every op.
-                if probe.is_none() {
-                    if let Op::Compute { cycles } = op {
-                        match self.fold_computes(core, cycles, cursor, stop) {
-                            FoldOutcome::Stopped => break 'sched,
-                            FoldOutcome::Yielded => break,
-                            FoldOutcome::RanDry => continue,
-                        }
-                    }
-                }
                 self.step_op(core, &op);
                 cursor.ops += 1;
-                match probe {
-                    Some((ref mut sink, ProbeKind::Ordering)) => {
-                        let p = self.probe_events();
-                        if p != last {
-                            sink.push(self.now_max);
-                            last = p;
-                        }
+                if let Some((ref mut sink, kind)) = probe {
+                    let p = self.probe_signal(kind);
+                    if p != last {
+                        sink.push(self.now_max);
+                        last = p;
                     }
-                    Some((ref mut sink, ProbeKind::PersistingStores)) => {
-                        // Only the stepping core's counter can move.
-                        let p = self.cores[core].persisting_stores.get();
-                        if p != last_pstores[core] {
-                            sink.push(self.now_max);
-                            last_pstores[core] = p;
-                        }
-                    }
-                    None => {}
                 }
                 // The stop check runs between ops exactly as it would at
                 // the top of the scheduler loop.
@@ -652,85 +590,22 @@ impl System {
                 // Another core's event is due first (or ties with a lower
                 // index): yield to it.
                 let now = (self.cores[core].ready_at, core);
-                if cursor.events.peek().is_some_and(|next| next < now) {
+                if cursor
+                    .events
+                    .peek()
+                    .is_some_and(|&Reverse(next)| next < now)
+                {
                     break;
                 }
             }
-            cursor.events.push(self.cores[core].ready_at, core);
+            cursor
+                .events
+                .push(Reverse((self.cores[core].ready_at, core)));
         }
         RunSummary {
             cycles: self.now_max,
             ops: cursor.ops,
             completed: cursor.finished(),
-        }
-    }
-
-    /// Retires `first_cycles` of compute plus every consecutive
-    /// [`Op::Compute`] at the front of `core`'s queue, as one scheduler
-    /// event but with per-op semantics: the SB is pumped at each op's
-    /// start cycle (so background drains hit the hierarchy at the same
-    /// instants as unfolded stepping), the stop condition is evaluated
-    /// after each op, and the yield check runs against the heap root after
-    /// each op — the fold ends exactly where the unfolded loop would have
-    /// left this core. Profile counts attribute one pipeline event per
-    /// folded op via [`SchedProfile::record_many`], keeping `sched.*`
-    /// stats identical to unfolded runs.
-    fn fold_computes(
-        &mut self,
-        core: usize,
-        first_cycles: u32,
-        cursor: &mut RunCursor,
-        stop: StopAt,
-    ) -> FoldOutcome {
-        let mut folded = 0u64;
-        let mut spent: Cycle = 0;
-        let mut cycles = first_cycles;
-        let outcome = loop {
-            let now = self.cores[core].ready_at;
-            self.pump_sb(core, now);
-            let end = now + Cycle::from(cycles);
-            self.cores[core].ready_at = end;
-            self.now_max = self.now_max.max(end);
-            spent += end - now;
-            folded += 1;
-            let stopped = match stop {
-                StopAt::Ops(budget) => cursor.ops + folded >= budget,
-                StopAt::Cycle(at) => self.now_max >= at,
-                StopAt::End => false,
-            };
-            if stopped {
-                break FoldOutcome::Stopped;
-            }
-            if let Some(next) = cursor.events.peek() {
-                if next < (self.cores[core].ready_at, core) {
-                    break FoldOutcome::Yielded;
-                }
-            }
-            match cursor.queues[core].front() {
-                Some(&Op::Compute { cycles: c }) => {
-                    cycles = c;
-                    cursor.queues[core].pop_front();
-                }
-                _ => break FoldOutcome::RanDry,
-            }
-        };
-        self.cores[core].committed.add(folded);
-        self.profile.record_many(EventKind::Pipeline, folded, spent);
-        cursor.ops += folded;
-        self.bump_audit(folded);
-        outcome
-    }
-
-    /// Advances the periodic debug-audit countdown by `n` committed ops.
-    fn bump_audit(&mut self, n: u64) {
-        self.audit_countdown = self
-            .audit_countdown
-            .saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
-        if self.audit_countdown >= DEBUG_AUDIT_PERIOD {
-            self.audit_countdown = 0;
-            if cfg!(debug_assertions) {
-                self.check_invariants();
-            }
         }
     }
 
@@ -890,7 +765,13 @@ impl System {
         // the coherence, inclusion, and holder-index invariants so every
         // debug test and crashfuzz sweep runs them for free. Release
         // builds keep only the counter arithmetic.
-        self.bump_audit(1);
+        self.audit_countdown += 1;
+        if self.audit_countdown >= DEBUG_AUDIT_PERIOD {
+            self.audit_countdown = 0;
+            if cfg!(debug_assertions) {
+                self.check_invariants();
+            }
+        }
     }
 
     /// Injects a power failure *now*: writes exactly the active
@@ -1065,14 +946,20 @@ impl System {
         (nvmm.media_resident_pages(), nvmm.media_cow_page_copies())
     }
 
-    /// Samples the monotone event counters a crash-point planner wants to
-    /// straddle (see [`EventProbe`]). Cheap enough to call between ops.
-    #[must_use]
-    pub fn probe_events(&self) -> EventProbe {
-        EventProbe {
-            fences: self.cores.iter().map(|c| c.fences.get()).sum(),
-            forced_drains: self.persist.forced_drains(),
-            wpq_backpressure: self.memories.nvmm().wpq_backpressure_events(),
+    /// The `kind` signal [`System::run_probed`] samples between ops. Each
+    /// summand is a monotone counter, so the sum changes exactly when one
+    /// of them moves (the argument [`System::crash_image_epoch`] makes).
+    fn probe_signal(&self, kind: ProbeKind) -> u64 {
+        match kind {
+            ProbeKind::Ordering => {
+                let fences: u64 = self.cores.iter().map(|c| c.fences.get()).sum();
+                fences
+                    + self.persist.forced_drains()
+                    + self.memories.nvmm().wpq_backpressure_events()
+            }
+            ProbeKind::PersistingStores => {
+                self.cores.iter().map(|c| c.persisting_stores.get()).sum()
+            }
         }
     }
 
@@ -1140,15 +1027,6 @@ impl System {
         self.profile.export(&mut s);
         self.persist_lat.export(&mut s);
         s
-    }
-
-    /// The commit→point-of-persistence latency distribution of every
-    /// persisting store stepped on this machine (see `latency` module
-    /// docs for where each mode's PoP is observed). Mergeable: shard
-    /// histograms combine with [`bbb_sim::LatencyHistogram::merge`].
-    #[must_use]
-    pub fn persist_latency(&self) -> &bbb_sim::LatencyHistogram {
-        self.persist_lat.histogram()
     }
 
     /// Per-kind event counts and simulated-cycle attribution for every op
@@ -1916,9 +1794,8 @@ mod tests {
             .collect();
         s.run_single_core(0, ops).unwrap();
         s.drain_all_store_buffers();
-        let probe = s.probe_events();
         assert!(
-            probe.wpq_backpressure > 0,
+            s.memories.nvmm().wpq_backpressure_events() > 0,
             "stream must backpressure the WPQ"
         );
         let img = s.crash_now();
@@ -1928,7 +1805,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_events_counts_fences() {
+    fn fences_are_counted() {
         let mut s = sys(PersistencyMode::Pmem);
         let a = pbase(&s);
         s.run_single_core(
@@ -1941,7 +1818,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(s.probe_events().fences, 2);
+        assert_eq!(s.stats().get("cores.fences"), 2);
     }
 
     #[test]
@@ -1967,7 +1844,8 @@ mod tests {
     }
 
     /// Two cores interleaving runs of compute ops with stores; batches mix
-    /// compute-run lengths so the fold exercises mid-run yields and stops.
+    /// compute-run lengths so the cores' clocks cross inside a run and the
+    /// stop points land in the middle of one.
     struct ComputeHeavy {
         left: [u32; 2],
         base: u64,
@@ -1984,7 +1862,7 @@ mod tests {
             self.left[core] -= 1;
             let i = u64::from(self.left[core]);
             let mut ops = Vec::new();
-            // Uneven compute runs so cores' clocks cross mid-fold.
+            // Uneven compute runs so cores' clocks cross mid-run.
             for k in 0..(1 + (i + core as u64) % 5) {
                 ops.push(Op::Compute {
                     cycles: (7 + 13 * k + core as u64 * 3) as u32,
@@ -2000,20 +1878,19 @@ mod tests {
     }
 
     #[test]
-    fn compute_fold_matches_unfolded_reference() {
-        // The probed run path disables the batch-retire fold (it must
-        // sample between every op), so it is the per-op reference the
-        // folded path must match bit-for-bit: same cycles, same stats
-        // (including sched.* attribution), same crash image.
+    fn probed_run_matches_plain_run() {
+        // Sampling the probe between ops must not perturb the run: same
+        // cycles, same stats (including sched.* attribution), same crash
+        // image as a plain run.
         for mode in PersistencyMode::ALL {
-            let mut folded = sys(mode);
+            let mut plain = sys(mode);
             let mut reference = sys(mode);
-            let base = pbase(&folded) + 0x400;
+            let base = pbase(&plain) + 0x400;
             let mk = || ComputeHeavy {
                 left: [40, 31],
                 base,
             };
-            let s1 = folded.run(&mut mk(), u64::MAX);
+            let s1 = plain.run(&mut mk(), u64::MAX);
             let mut cursor = RunCursor::new(reference.cores.len());
             let mut sink = Vec::new();
             let s2 = reference.run_probed(&mut mk(), &mut cursor, &mut sink, ProbeKind::Ordering);
@@ -2023,19 +1900,19 @@ mod tests {
             }
             assert_eq!(s1.ops, s2.ops, "{mode:?}");
             assert_eq!(s1.cycles, reference.now_max, "{mode:?}");
-            assert_eq!(folded.stats(), reference.stats(), "{mode:?}");
-            let (ia, ib) = (folded.crash_image(true), reference.crash_image(true));
+            assert_eq!(plain.stats(), reference.stats(), "{mode:?}");
+            let (ia, ib) = (plain.crash_image(true), reference.crash_image(true));
             assert_eq!(ia.as_store(), ib.as_store(), "{mode:?}");
         }
     }
 
     #[test]
-    fn compute_fold_respects_op_budget_and_cycle_stop() {
+    fn stop_points_match_one_op_increments() {
         let base_budget = 37u64;
         for stop_kind in 0..2 {
-            let mut folded = sys(PersistencyMode::Eadr);
+            let mut whole = sys(PersistencyMode::Eadr);
             let mut reference = sys(PersistencyMode::Eadr);
-            let base = pbase(&folded) + 0x400;
+            let base = pbase(&whole) + 0x400;
             let mk = || ComputeHeavy {
                 left: [40, 31],
                 base,
@@ -2045,11 +1922,10 @@ mod tests {
             } else {
                 StopAt::Cycle(500)
             };
-            let mut c1 = RunCursor::new(folded.cores.len());
-            let s1 = folded.run_until(&mut mk(), &mut c1, stop);
-            // Per-op reference: budget-1 ops probed (fold off), then one
-            // run_until step — instead, just compare against a probed full
-            // walk truncated by the same stop via step-by-step increments.
+            let mut c1 = RunCursor::new(whole.cores.len());
+            let s1 = whole.run_until(&mut mk(), &mut c1, stop);
+            // Per-op reference: the same run in one-op run_until
+            // increments, ended by the same stop.
             let mut c2 = RunCursor::new(reference.cores.len());
             let mut w = mk();
             let mut s2 = reference.run_until(&mut w, &mut c2, StopAt::Ops(1));
@@ -2066,8 +1942,137 @@ mod tests {
                 s2 = reference.run_until(&mut w, &mut c2, StopAt::Ops(next));
             }
             assert_eq!(s1.ops, s2.ops, "stop {stop:?}");
-            assert_eq!(folded.now_max, reference.now_max, "stop {stop:?}");
-            assert_eq!(folded.stats(), reference.stats(), "stop {stop:?}");
+            assert_eq!(whole.now_max, reference.now_max, "stop {stop:?}");
+            assert_eq!(whole.stats(), reference.stats(), "stop {stop:?}");
+        }
+    }
+
+    /// Two cores storing to shared and private persistent blocks, with a
+    /// `clwb` and a fence every third batch, so fences, forced drains, WPQ
+    /// backpressure and persisting stores all move.
+    struct Ordered {
+        left: [u32; 2],
+        base: u64,
+    }
+
+    impl Workload for Ordered {
+        fn name(&self) -> &str {
+            "ordered"
+        }
+        fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+            if self.left[core] == 0 {
+                return None;
+            }
+            self.left[core] -= 1;
+            let i = u64::from(self.left[core]);
+            let private = self.base + 0x1000 * (core as u64 + 1) + (i % 16) * 64;
+            let mut ops = vec![
+                Op::store_u64(self.base + (i % 4) * 64, i),
+                Op::Compute {
+                    cycles: 3 + core as u32,
+                },
+                Op::store_u64(private, i),
+            ];
+            if i % 3 == 0 {
+                ops.extend([Op::Clwb { addr: private }, Op::Fence]);
+            }
+            Some(ops)
+        }
+    }
+
+    /// The counters behind `kind`'s signal, one entry per counter.
+    fn probe_counters(s: &System, kind: ProbeKind) -> Vec<u64> {
+        match kind {
+            ProbeKind::Ordering => {
+                let mut v: Vec<u64> = s.cores.iter().map(|c| c.fences.get()).collect();
+                v.push(s.persist.forced_drains());
+                v.push(s.memories.nvmm().wpq_backpressure_events());
+                v
+            }
+            ProbeKind::PersistingStores => {
+                s.cores.iter().map(|c| c.persisting_stores.get()).collect()
+            }
+        }
+    }
+
+    #[test]
+    fn run_probed_boundaries_match_a_one_op_walk() {
+        // The reference walks the run one op at a time and records the
+        // cycle after every op that moved any of the kind's counters. The
+        // 2-entry WPQ backpressures; the default one leaves forced drains
+        // as the only ordering events of some ops.
+        let mut tiny_wpq = SimConfig::small_for_tests();
+        tiny_wpq.mem.wpq_entries = 2;
+        tiny_wpq.mem.nvmm_channels = 1;
+        for cfg in [SimConfig::small_for_tests(), tiny_wpq] {
+            for mode in PersistencyMode::ALL {
+                for kind in [ProbeKind::Ordering, ProbeKind::PersistingStores] {
+                    let case = format!("WPQ {} {mode:?} {kind:?}", cfg.mem.wpq_entries);
+                    let mut probed = System::new(cfg.clone(), mode).unwrap();
+                    let base = pbase(&probed);
+                    let mk = || Ordered {
+                        left: [30, 24],
+                        base,
+                    };
+                    let mut cursor = RunCursor::new(2);
+                    let mut boundaries = Vec::new();
+                    probed.run_probed(&mut mk(), &mut cursor, &mut boundaries, kind);
+
+                    let mut walked = System::new(cfg.clone(), mode).unwrap();
+                    let mut w = mk();
+                    let mut c = RunCursor::new(2);
+                    let mut last = probe_counters(&walked, kind);
+                    let mut expected = Vec::new();
+                    while !c.finished() {
+                        let next = c.ops() + 1;
+                        walked.run_until(&mut w, &mut c, StopAt::Ops(next));
+                        let now = probe_counters(&walked, kind);
+                        if now != last {
+                            expected.push(walked.now_max);
+                            last = now;
+                        }
+                    }
+                    assert!(!expected.is_empty(), "{case}");
+                    assert_eq!(boundaries, expected, "{case}");
+                    assert_eq!(cursor.ops(), c.ops(), "{case}");
+                }
+            }
+        }
+    }
+
+    /// Endless 10-cycle compute ops; records which core each op ran on.
+    struct Spin {
+        order: Vec<usize>,
+    }
+
+    impl Workload for Spin {
+        fn name(&self) -> &str {
+            "spin"
+        }
+        fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+            self.order.push(core);
+            Some(vec![Op::Compute { cycles: 10 }])
+        }
+    }
+
+    #[test]
+    fn equal_clocks_step_the_lower_core_first() {
+        // [4, 2, 2, 9]: the first core with the smallest clock starts.
+        // [10, 0]: core 1 reaches core 0's clock and must yield to it.
+        for (clocks, expected) in [
+            (vec![4, 2, 2, 9], vec![1, 2, 0, 3, 1, 2, 0, 3]),
+            (vec![10, 0], vec![1, 0, 1, 0, 1, 0, 1, 0]),
+        ] {
+            let mut cfg = SimConfig::small_for_tests();
+            cfg.cores = clocks.len();
+            let mut s = System::new(cfg, PersistencyMode::Eadr).unwrap();
+            for (core, &clock) in clocks.iter().enumerate() {
+                s.cores[core].ready_at = clock;
+            }
+            let mut spin = Spin { order: Vec::new() };
+            let mut cursor = RunCursor::new(clocks.len());
+            s.run_until(&mut spin, &mut cursor, StopAt::Ops(8));
+            assert_eq!(spin.order, expected, "clocks {clocks:?}");
         }
     }
 

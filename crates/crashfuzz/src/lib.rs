@@ -50,6 +50,6 @@ pub use engine::{CrashSweep, Point, Reference, SweepPerf};
 pub use grid::{plan_points, GridSpec, CRASHFUZZ_SEED};
 pub use shrink::{shrink, test_source, Reproducer};
 pub use sweep::{
-    first_failure_at, lost_updates_observable, merge_shards, mode_tag, plan_shards, reference_run,
-    sweep, sweep_shard, CrashFailure, ShardOutcome, SweepConfig, SweepOutcome, SweepShard,
+    first_failure_at, lost_updates_observable, merge_shards, plan_shards, reference_run, sweep,
+    sweep_shard, CrashFailure, ShardOutcome, SweepConfig, SweepOutcome, SweepShard,
 };

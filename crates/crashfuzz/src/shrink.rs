@@ -13,7 +13,7 @@
 use bbb_sim::{Cycle, SimConfig};
 
 use crate::grid::GridSpec;
-use crate::sweep::{first_failure_at, mode_tag, reference_run, CrashFailure, SweepConfig};
+use crate::sweep::{first_failure_at, reference_run, CrashFailure, SweepConfig};
 
 /// Dense points used for each shrink re-scan.
 const RESCAN_POINTS: usize = 256;
@@ -179,7 +179,7 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
     assert!(report.ok(), "{{report}}");
 }}"#,
         wl_fn = sanitize(cfg.workload.name()),
-        mode_fn = sanitize(mode_tag(cfg.mode)),
+        mode_fn = sanitize(cfg.mode.tag()),
         cycle = failure.cycle,
         wl_name = cfg.workload.name(),
         mode_debug = cfg.mode,

@@ -138,7 +138,7 @@ impl SweepConfig {
         } else {
             " (lossy)"
         };
-        format!("{}/{}{}", self.workload.name(), mode_tag(self.mode), suffix)
+        format!("{}/{}{}", self.workload.name(), self.mode.tag(), suffix)
     }
 
     /// The same pair under the mode's correct discipline — the partner a
@@ -175,18 +175,6 @@ impl SweepConfig {
         }
         last.clone()
             .expect("the first crash of each battery state is imaged")
-    }
-}
-
-/// Short mode tag for labels and generated test names, e.g. `bbb-mem`.
-#[must_use]
-pub const fn mode_tag(mode: PersistencyMode) -> &'static str {
-    match mode {
-        PersistencyMode::Pmem => "pmem",
-        PersistencyMode::Eadr => "eadr",
-        PersistencyMode::BbbMemorySide => "bbb-mem",
-        PersistencyMode::BbbProcessorSide => "bbb-proc",
-        PersistencyMode::Bep => "bep",
     }
 }
 

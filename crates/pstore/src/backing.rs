@@ -65,12 +65,6 @@ impl MemBacking {
     pub fn persist_calls(&self) -> u64 {
         self.persist_calls
     }
-
-    /// The raw bytes (recovery tests corrupt them directly).
-    #[must_use]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
 }
 
 impl PBacking for MemBacking {

@@ -288,20 +288,6 @@ impl RingWriter {
         &self.shim
     }
 
-    /// Bytes a grant of `len` payload would consume, including framing
-    /// and any lap-tail pad at the current watermark.
-    #[must_use]
-    pub fn grant_span(&self, len: u64) -> u64 {
-        let pos = self.committed_off % self.capacity;
-        let rem = self.capacity - pos;
-        let pad = if rem < RECORD_HEADER_BYTES + len {
-            rem
-        } else {
-            0
-        };
-        pad + RECORD_HEADER_BYTES + len
-    }
-
     /// Reserves ring space for a `len`-byte payload. Fails with
     /// [`GrantError::WouldBlock`] until the consumer has *published*
     /// enough released space — the producer keys off `read_pub`, never

@@ -269,10 +269,6 @@ mod tests {
                 suppress_persistent_writebacks: _,
             } = base.cfg.clone();
             let CoreConfig {
-                issue_width: _,
-                retire_width: _,
-                rob_entries: _,
-                lsq_entries: _,
                 store_buffer_entries: _,
             } = core;
             let CacheConfig {
@@ -321,10 +317,6 @@ mod tests {
             ("params.seed", |s| s.params.seed += 1),
             ("params.instrument", |s| s.params.instrument = true),
             ("cfg.cores", |s| s.cfg.cores += 1),
-            ("cfg.core.issue_width", |s| s.cfg.core.issue_width += 1),
-            ("cfg.core.retire_width", |s| s.cfg.core.retire_width += 1),
-            ("cfg.core.rob_entries", |s| s.cfg.core.rob_entries += 1),
-            ("cfg.core.lsq_entries", |s| s.cfg.core.lsq_entries += 1),
             ("cfg.core.store_buffer_entries", |s| {
                 s.cfg.core.store_buffer_entries += 1;
             }),

@@ -1,10 +1,11 @@
 //! Simulated-machine configuration (paper Table III plus BBB parameters).
 //!
 //! [`SimConfig::default`] reproduces the paper's evaluated machine: 8
-//! out-of-order cores at 2 GHz with 8-wide issue/retire, ROB 192, LSQ 32,
-//! private 128 kB L1s, a shared 1 MB L2 (the LLC), hybrid 8 GB DRAM +
-//! 8 GB NVMM main memory, and a 32-entry bbPB per core with a 75% drain
-//! threshold.
+//! cores at 2 GHz with 32-entry store buffers, private 128 kB L1s, a
+//! shared 1 MB L2 (the LLC), hybrid 8 GB DRAM + 8 GB NVMM main memory,
+//! and a 32-entry bbPB per core with a 75% drain threshold. Each core is
+//! a committed-op interpreter (`bbb-cpu`): the paper's ROB, LSQ and issue
+//! width are not modelled.
 
 use crate::clock::ns_to_cycles;
 use crate::Cycle;
@@ -16,17 +17,10 @@ pub const MIB: u64 = 1024 * KIB;
 /// Gibibyte multiplier.
 pub const GIB: u64 = 1024 * MIB;
 
-/// Per-core pipeline parameters (paper Table III, "Processor" row).
+/// Per-core parameters (paper Table III, "Processor" row). The core is a
+/// committed-op interpreter, so only the store buffer is sized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// Maximum instructions dispatched into the ROB per cycle.
-    pub issue_width: usize,
-    /// Maximum instructions retired per cycle.
-    pub retire_width: usize,
-    /// Reorder-buffer capacity.
-    pub rob_entries: usize,
-    /// Load/store-queue capacity.
-    pub lsq_entries: usize,
     /// Post-commit store-buffer capacity.
     pub store_buffer_entries: usize,
 }
@@ -34,10 +28,6 @@ pub struct CoreConfig {
 impl Default for CoreConfig {
     fn default() -> Self {
         Self {
-            issue_width: 8,
-            retire_width: 8,
-            rob_entries: 192,
-            lsq_entries: 32,
             store_buffer_entries: 32,
         }
     }
@@ -294,8 +284,8 @@ impl SimConfig {
         if self.bbpb.entries == 0 {
             return Err("bbPB must have at least one entry".into());
         }
-        if self.core.store_buffer_entries == 0 || self.core.rob_entries == 0 {
-            return Err("core buffers must be non-empty".into());
+        if self.core.store_buffer_entries == 0 {
+            return Err("the store buffer must be non-empty".into());
         }
         for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2)] {
             if c.ways == 0 || c.capacity_bytes == 0 {
@@ -333,9 +323,7 @@ mod tests {
     fn default_matches_paper_table3() {
         let c = SimConfig::default();
         assert_eq!(c.cores, 8);
-        assert_eq!(c.core.issue_width, 8);
-        assert_eq!(c.core.rob_entries, 192);
-        assert_eq!(c.core.lsq_entries, 32);
+        assert_eq!(c.core.store_buffer_entries, 32);
         assert_eq!(c.l1d.capacity_bytes, 128 * KIB);
         assert_eq!(c.l1d.ways, 8);
         assert_eq!(c.l1d.latency, 2);
@@ -389,6 +377,10 @@ mod tests {
 
         let mut c = SimConfig::default();
         c.bbpb.entries = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = SimConfig::default();
+        c.core.store_buffer_entries = 0;
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::default();

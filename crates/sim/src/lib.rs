@@ -44,7 +44,7 @@ pub use config::{BbpbConfig, CacheConfig, CoreConfig, DrainPolicy, MemTiming, Si
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use port::MemoryPort;
 pub use rng::SplitMix64;
-pub use sched::{EventKind, EventQueue, SchedProfile};
+pub use sched::{EventKind, SchedProfile};
 pub use stats::{Counter, LatencyHistogram, Stats};
 pub use table::Table;
 pub use trace::{merge_logs, TraceEvent, TraceLog};

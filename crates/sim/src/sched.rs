@@ -1,31 +1,13 @@
-//! Discrete-event scheduling primitives for the system interpreter.
+//! Simulated-cycle attribution for the system interpreter.
 //!
-//! The multi-core interpreter in `bbb-core` used to pick the next core to
-//! step by scanning every core's local clock — O(cores) per committed op.
-//! [`EventQueue`] replaces that scan with a binary min-heap of
-//! `(cycle, actor)` completion events: the interpreter pops the earliest
-//! event, steps that actor, and pushes its next completion.
+//! The run loop in `bbb-core` classifies every stepped op into an
+//! [`EventKind`] and records its elapsed cycles in a [`SchedProfile`], so
+//! a finished run can report where simulated time went (pipeline vs.
+//! store buffer vs. WPQ vs. bbPB vs. NVMM). The benchmark reports
+//! attribute cycle share per component from it, under `sched.*`.
 //!
-//! The heap holds no state between run calls. Each call clears it and
-//! seeds one event per active core at that core's clock as the call
-//! finds it, so a caller may move the clocks between increments (a
-//! crash sweep stepping an op directly, or draining the store
-//! buffers) and every popped event is still current. No event goes
-//! stale, so none is ever re-pushed or skipped, and no `decrease-key`
-//! is needed.
-//!
-//! A heap rather than a timing wheel: completion times in this model are
-//! analytic (an op can jump hundreds of cycles on an NVMM miss), so the
-//! event horizon is unbounded and wheel buckets would mostly be empty;
-//! `BinaryHeap` gives O(log cores) pops with no tuning.
-//!
-//! [`SchedProfile`] rides along: every scheduled completion is classified
-//! into an [`EventKind`] so a finished run can report where simulated time
-//! went (pipeline vs. store buffer vs. WPQ vs. bbPB vs. NVMM), which is
-//! how the benchmark reports attribute cycle share per component.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The scheduler itself is the `(cycle, core)` min-heap inside
+//! `bbb_core::RunCursor`.
 
 use crate::clock::Cycle;
 use crate::stats::Stats;
@@ -101,16 +83,6 @@ impl SchedProfile {
         self.cycles[kind as usize] += cycles;
     }
 
-    /// Records `n` completion events of `kind` that together consumed
-    /// `cycles` of simulated time — the batch-retire fast path folds runs
-    /// of pure-compute ops into one scheduler event but must attribute
-    /// the same per-op counts as `n` separate [`SchedProfile::record`]
-    /// calls.
-    pub fn record_many(&mut self, kind: EventKind, n: u64, cycles: Cycle) {
-        self.counts[kind as usize] += n;
-        self.cycles[kind as usize] += cycles;
-    }
-
     /// Adds another profile's counts and cycles into this one (merging
     /// shard- or run-level attributions additively).
     pub fn absorb(&mut self, other: &SchedProfile) {
@@ -153,119 +125,9 @@ impl SchedProfile {
     }
 }
 
-/// A binary min-heap of `(cycle, actor)` completion events.
-///
-/// Ordering is lexicographic — earliest cycle first, lowest actor index on
-/// ties — which reproduces exactly the "first active core with the
-/// smallest local clock" choice of the scan it replaces.
-///
-/// # Examples
-///
-/// ```
-/// use bbb_sim::EventQueue;
-/// let mut q = EventQueue::new();
-/// q.push(30, 1);
-/// q.push(10, 2);
-/// q.push(10, 0);
-/// assert_eq!(q.pop(), Some((10, 0)));
-/// assert_eq!(q.pop(), Some((10, 2)));
-/// assert_eq!(q.pop(), Some((30, 1)));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `actor`'s next completion at `at`.
-    pub fn push(&mut self, at: Cycle, actor: usize) {
-        self.heap.push(Reverse((at, actor)));
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycle, usize)> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// The earliest event without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<(Cycle, usize)> {
-        self.heap.peek().map(|&Reverse(e)| e)
-    }
-
-    /// Drops every queued event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pops_in_cycle_then_actor_order() {
-        let mut q = EventQueue::new();
-        q.push(5, 3);
-        q.push(5, 1);
-        q.push(2, 7);
-        q.push(9, 0);
-        assert_eq!(q.peek(), Some((2, 7)));
-        assert_eq!(q.pop(), Some((2, 7)));
-        assert_eq!(q.pop(), Some((5, 1)));
-        assert_eq!(q.pop(), Some((5, 3)));
-        assert_eq!(q.pop(), Some((9, 0)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn matches_linear_scan_tie_break() {
-        // The scan it replaces picked the *first* core with the minimal
-        // clock; the heap must agree for every permutation of pushes.
-        let clocks = [4u64, 2, 2, 9];
-        let scan_pick = clocks
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &c)| c)
-            .map(|(i, &c)| (c, i))
-            .unwrap();
-        let mut q = EventQueue::new();
-        for (i, &c) in clocks.iter().enumerate().rev() {
-            q.push(c, i);
-        }
-        assert_eq!(q.pop(), Some(scan_pick));
-    }
-
-    #[test]
-    fn clear_and_len_track_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1, 0);
-        q.push(2, 1);
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
 
     #[test]
     fn profile_accumulates_per_kind() {

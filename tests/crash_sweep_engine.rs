@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use bbb::check::conform::{conform_config, conform_grid, run_shape_conform, GEN_OFFSETS};
 use bbb::check::enumerate::interleavings;
-use bbb::check::litmus::{mode_label, run_all};
+use bbb::check::litmus::run_all;
 use bbb::check::{generate, GenBounds, Inst, Prog};
 use bbb::core::PersistencyMode;
 use bbb::crashfuzz::{
@@ -160,7 +160,7 @@ fn render_schedules() -> String {
             let _ = writeln!(
                 out,
                 "{} images={} {}",
-                mode_label(mode),
+                mode.tag(),
                 images.len(),
                 digests.join(" ")
             );
@@ -192,7 +192,7 @@ fn render_conform() -> String {
             let _ = writeln!(
                 out,
                 "  {} crash_points={} observed={} covered={} violations={}",
-                mode_label(m.mode),
+                m.mode.tag(),
                 m.crash_points,
                 m.observed,
                 m.covered,
@@ -210,7 +210,7 @@ fn render_litmus() -> String {
             out,
             "{} {} crash_points={} observed={} first={:?} violations={} pass={}",
             row.shape,
-            mode_label(row.mode),
+            row.mode.tag(),
             row.crash_points,
             row.observed,
             row.first_observed,

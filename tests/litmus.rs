@@ -6,7 +6,7 @@
 //! persistency litmus engine, which sweeps crash points and replays each
 //! traced run through the vector-clock persist-order checker.
 
-use bbb::check::litmus::{mode_label, run_all, run_shape, shapes, Verdict};
+use bbb::check::litmus::{run_all, run_shape, shapes, Verdict};
 use bbb::core::{PersistencyMode, System};
 use bbb::cpu::Op;
 use bbb::sim::SimConfig;
@@ -148,7 +148,7 @@ fn persistency_litmus_matrix_matches_expectations() {
             row.pass(),
             "{} under {}: expected {}, observed {}, {} checker violation(s)",
             row.shape,
-            mode_label(row.mode),
+            row.mode.tag(),
             row.expect.verdict.label(),
             row.observed_label(),
             row.report.violations()
@@ -173,8 +173,8 @@ fn bbb_modes_forbid_every_lost_causality_outcome() {
                 "{}: BBB should forbid the outcome",
                 shape.name
             );
-            assert_eq!(row.observed, 0, "{} under {}", shape.name, mode_label(mode));
-            assert!(row.report.ok(), "{} under {}", shape.name, mode_label(mode));
+            assert_eq!(row.observed, 0, "{} under {}", shape.name, mode.tag());
+            assert!(row.report.ok(), "{} under {}", shape.name, mode.tag());
         }
     }
 }
