@@ -27,9 +27,7 @@
 use bbb_core::{PersistencyMode, ProbeKind};
 use bbb_sim::{Cycle, SimConfig};
 use bbb_workloads::suite::with_epoch_barriers;
-use bbb_workloads::{
-    make_workload, verify_recovery_report, RecoveryReport, WorkloadKind, WorkloadParams,
-};
+use bbb_workloads::{make_workload, RecoveryOracle, RecoveryReport, WorkloadKind, WorkloadParams};
 
 use crate::engine::{CrashSweep, Point, Reference, SweepPerf};
 use crate::grid::GridSpec;
@@ -160,20 +158,36 @@ impl SweepConfig {
         CrashSweep::new(&self.cfg, self.mode, w)
     }
 
-    /// The recovery verdict of the engine's crash image, battery healthy or
-    /// dropped. `last` is that battery state's previous verdict, which an
-    /// unchanged image repeats; a fresh image is checked and memoized.
-    fn verdict(
-        &self,
-        engine: &mut CrashSweep,
-        battery_ok: bool,
-        last: &mut Option<RecoveryReport>,
-    ) -> RecoveryReport {
-        if let Some(image) = engine.crash(battery_ok) {
-            let report = verify_recovery_report(self.workload, &image, &self.cfg, self.params);
-            *last = Some(report);
+    /// This configuration's recovery oracle.
+    fn oracle(&self) -> RecoveryOracle {
+        RecoveryOracle::new(self.workload, &self.cfg, self.params)
+    }
+}
+
+/// One battery state's recovery checks along a sweep: its oracle, which
+/// memoizes the last image that verified, and its last verdict.
+struct Verdicts {
+    oracle: RecoveryOracle,
+    last: Option<RecoveryReport>,
+}
+
+impl Verdicts {
+    fn new(cfg: &SweepConfig) -> Self {
+        Self {
+            oracle: cfg.oracle(),
+            last: None,
         }
-        last.clone()
+    }
+
+    /// The recovery verdict of the engine's crash image in this battery
+    /// state. An unchanged image repeats the last verdict; a fresh image
+    /// is checked.
+    fn of(&mut self, engine: &mut CrashSweep, battery_ok: bool) -> RecoveryReport {
+        if let Some(image) = engine.crash(battery_ok) {
+            self.last = Some(self.oracle.check(&image));
+        }
+        self.last
+            .clone()
             .expect("the first crash of each battery state is imaged")
     }
 }
@@ -343,10 +357,10 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         negative_signatures: 0,
         perf: SweepPerf::default(),
     };
-    let (mut last_healthy, mut last_dropped) = (None, None);
+    let (mut healthy, mut dropped) = (Verdicts::new(cfg), Verdicts::new(cfg));
     for &p in &shard.points {
         engine.advance(Point::Cycle(p));
-        let report = cfg.verdict(&mut engine, true, &mut last_healthy);
+        let report = healthy.of(&mut engine, true);
         if !cfg.expects_consistent() {
             out.oracle(!report.ok());
         } else if !report.ok() {
@@ -360,7 +374,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
             // A dead battery must lose updates relative to the healthy
             // crash at the same cycle: either the image is torn, or fewer
             // elements survive.
-            let dropped = cfg.verdict(&mut engine, false, &mut last_dropped);
+            let dropped = dropped.of(&mut engine, false);
             out.oracle(!dropped.ok() || dropped.recovered < report.recovered);
         }
     }
@@ -371,11 +385,11 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         // mode's correct discipline. A machine that skips the required
         // flushes/barriers must come up short (or torn).
         engine.advance(Point::End);
-        let lossy_final = cfg.verdict(&mut engine, true, &mut last_healthy);
+        let lossy_final = healthy.of(&mut engine, true);
         let twin = cfg.consistent_twin();
         let mut twin_engine = twin.engine();
         twin_engine.advance(Point::End);
-        let twin_final = twin.verdict(&mut twin_engine, true, &mut None);
+        let twin_final = Verdicts::new(&twin).of(&mut twin_engine, true);
         out.oracle(!lossy_final.ok() || lossy_final.recovered < twin_final.recovered);
     }
     out.perf = engine.finish();
@@ -434,11 +448,12 @@ pub fn first_failure_at(
     points: &[Cycle],
 ) -> Option<CrashFailure> {
     let mut engine = cfg.engine();
+    let mut oracle = cfg.oracle();
     points.iter().find_map(|&p| {
         engine.advance(Point::Cycle(p));
         // No image: unchanged since the previous point, which passed.
         let image = engine.crash(!battery_dropped)?;
-        let report = verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params);
+        let report = oracle.check(&image);
         (!report.ok()).then_some(CrashFailure {
             cycle: p,
             battery_dropped,

@@ -5,9 +5,14 @@
 //! byte contents recovery code would see on reboot. Workload-specific
 //! checkers (in `bbb-workloads`) validate structure invariants against it.
 
+use std::sync::Arc;
+
 use bbb_sim::{Addr, BlockAddr, BLOCK_BYTES};
 
-use crate::backing::{ByteStore, PAGE_BYTES};
+use crate::backing::{ByteStore, Page, PAGE_BYTES};
+
+// A page's changed blocks fit one `u64` mask.
+const _: () = assert!(PAGE_BYTES / BLOCK_BYTES == 64);
 
 /// An immutable snapshot of NVMM media contents after a crash.
 ///
@@ -69,6 +74,13 @@ impl NvmImage {
             page_base: u64::MAX,
             page: None,
         }
+    }
+
+    /// Holds the page containing `addr` as this image has it, so a later
+    /// image can be diffed against it ([`PinnedPage::changed_blocks`]).
+    #[must_use]
+    pub fn pin(&self, addr: Addr) -> PinnedPage {
+        PinnedPage(self.store.page_for(addr).cloned())
     }
 
     /// Unwraps into the underlying store.
@@ -144,6 +156,50 @@ impl ImageReader<'_> {
     }
 }
 
+/// One page of an image, held for diffing against later images.
+///
+/// A pinned page shares the image's copy-on-write page, so its bytes can
+/// never change: whoever writes the page next (the live media, say)
+/// copies it first. An image holding the *same* page therefore has the
+/// same bytes, and only a page whose pointer differs needs comparing.
+/// The price is that copy, once per pinned page the next writer touches.
+#[derive(Clone, Default)]
+pub struct PinnedPage(Option<Arc<Page>>);
+
+impl PinnedPage {
+    /// The 64-byte blocks of the page at `addr` whose bytes in `image`
+    /// differ from this pin's: bit `i` stands for block `i` of the page.
+    /// `None`, without reading a byte, when `image` holds the pinned page
+    /// itself (or neither has the page). An absent page reads as zeros.
+    #[must_use]
+    pub fn changed_blocks(&self, image: &NvmImage, addr: Addr) -> Option<u64> {
+        fn block(page: Option<&Arc<Page>>, i: usize) -> &[u8] {
+            const ZERO: [u8; BLOCK_BYTES] = [0; BLOCK_BYTES];
+            page.map_or(&ZERO, |p| &p[i * BLOCK_BYTES..][..BLOCK_BYTES])
+        }
+        let (pinned, now) = (self.0.as_ref(), image.store.page_for(addr));
+        match (pinned, now) {
+            (None, None) => None,
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => None,
+            _ => Some(
+                (0..PAGE_BYTES / BLOCK_BYTES)
+                    .filter(|&i| block(pinned, i) != block(now, i))
+                    .fold(0, |mask, i| mask | 1 << i),
+            ),
+        }
+    }
+}
+
+impl std::fmt::Debug for PinnedPage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "PinnedPage(resident)"
+        } else {
+            "PinnedPage(absent)"
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,5 +215,41 @@ mod tests {
         assert_eq!(img.read_block(BlockAddr::containing(0x40))[..3], [1, 2, 3]);
         assert_eq!(img.as_store(), &s);
         assert_eq!(img.into_store(), s);
+    }
+
+    #[test]
+    fn pinned_page_reports_changed_blocks() {
+        let mut s = ByteStore::new();
+        s.write_u64(0x1000, 1);
+        let first = NvmImage::from_store(s.clone());
+        let pin = first.pin(0x1000);
+        let absent = first.pin(0x5000);
+        assert_eq!(pin.changed_blocks(&first, 0x1000), None);
+
+        // A clone shares the page: nothing to compare.
+        assert_eq!(pin.changed_blocks(&first.clone(), 0x1000), None);
+
+        // Writes copy the pinned page; only the blocks whose bytes moved
+        // are reported, and rewriting equal bytes reports nothing.
+        s.write_u64(0x1000, 1);
+        s.write_u64(0x1000 + 5 * 64 + 8, 9);
+        s.write_u64(0x1000 + 63 * 64, 9);
+        s.write_u64(0x5040, 3);
+        let second = NvmImage::from_store(s);
+        assert_eq!(pin.changed_blocks(&second, 0x1000), Some(1 << 5 | 1 << 63));
+        assert_eq!(absent.changed_blocks(&second, 0x5000), Some(1 << 1));
+        assert_eq!(
+            second.pin(0x5000).changed_blocks(&first, 0x5000),
+            Some(1 << 1)
+        );
+        assert_eq!(absent.changed_blocks(&second, 0x9000), None);
+
+        // A copied page with equal bytes moved, but no block changed.
+        let mut s = second.clone().into_store();
+        s.write_u64(0x1000, 1);
+        assert_eq!(
+            second.pin(0x1000).changed_blocks(&s.into(), 0x1000),
+            Some(0)
+        );
     }
 }

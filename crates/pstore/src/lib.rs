@@ -58,6 +58,9 @@ pub enum GrantError {
     /// The payload can never fit (`len` exceeds [`MAX_PAYLOAD_BYTES`] or
     /// is not a positive multiple of 8).
     TooLarge,
+    /// The ring's 64-bit data offsets or sequence numbers cannot cover
+    /// another record.
+    Exhausted,
     /// The backing store failed.
     Backing(String),
 }
@@ -67,6 +70,7 @@ impl std::fmt::Display for GrantError {
         match self {
             GrantError::WouldBlock => write!(f, "ring full: no released space for the grant"),
             GrantError::TooLarge => write!(f, "payload length invalid (8-aligned, 8..=MAX)"),
+            GrantError::Exhausted => write!(f, "ring offsets or sequence numbers exhausted"),
             GrantError::Backing(e) => write!(f, "backing error: {e}"),
         }
     }

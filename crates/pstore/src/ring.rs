@@ -304,6 +304,10 @@ impl RingWriter {
         if len == 0 || !len.is_multiple_of(8) || len > MAX_PAYLOAD_BYTES {
             return Err(GrantError::TooLarge);
         }
+        // Recovery rejects a record carrying the last sequence number.
+        if self.next_seq == u64::MAX {
+            return Err(GrantError::Exhausted);
+        }
         let pos = self.committed_off % self.capacity;
         let rem = self.capacity - pos;
         let pad = if rem < RECORD_HEADER_BYTES + len {
@@ -315,7 +319,12 @@ impl RingWriter {
         let read_pub = backing
             .read_u64(READ_PUB_OFF)
             .map_err(GrantError::Backing)?;
-        if self.committed_off + need > read_pub + self.capacity {
+        let end = self.committed_off.checked_add(need);
+        let limit = read_pub.checked_add(self.capacity);
+        let (Some(end), Some(limit)) = (end, limit) else {
+            return Err(GrantError::Exhausted);
+        };
+        if end > limit {
             return Err(GrantError::WouldBlock);
         }
         Ok(WriteGrant {
@@ -347,6 +356,13 @@ impl RingWriter {
             ));
         }
         let len = grant.payload.len() as u64;
+        let exhausted = || "ring offsets or sequence numbers exhausted".to_owned();
+        let new_off = grant
+            .off
+            .checked_add(RECORD_HEADER_BYTES)
+            .and_then(|o| o.checked_add(len))
+            .ok_or_else(exhausted)?;
+        let next_seq = self.next_seq.checked_add(1).ok_or_else(exhausted)?;
         if grant.pad > 0 {
             self.put(
                 backing,
@@ -377,11 +393,10 @@ impl RingWriter {
                                      // expose off-ahead-of-seq, which is indistinguishable from a lost
                                      // record.)
         self.put(backing, COMMIT_SEQ_OFF, grant.seq)?;
-        let new_off = grant.off + RECORD_HEADER_BYTES + len;
         self.put(backing, COMMIT_WATERMARK_OFF, new_off)?;
         self.shim.barrier(backing)?; // watermark durable before reuse
         self.committed_off = new_off;
-        self.next_seq += 1;
+        self.next_seq = next_seq;
         Ok(())
     }
 

@@ -22,7 +22,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 use crate::builder::OpBuilder;
 use crate::locks::InsertLock;
 use crate::palloc::Palloc;
-use crate::walk::NodeBudget;
+use crate::walk::{root_pointer, Local, Shape, Walker};
 
 /// Entries per node.
 pub const FANOUT: usize = 8;
@@ -303,50 +303,58 @@ pub fn check_btree_recovery(
     map: &AddressMap,
     root_slot: Addr,
 ) -> Result<u64, String> {
-    fn walk(
+    Walker::new(BtreeShape { root_slot }, map).check(image)
+}
+
+/// The B-tree's recovery rules for the shared walk.
+#[derive(Debug)]
+pub(crate) struct BtreeShape {
+    /// The root-pointer slot.
+    pub(crate) root_slot: Addr,
+}
+
+impl Shape for BtreeShape {
+    const MIN_NODE_BYTES: u64 = NODE_BYTES;
+    const MAX_DEPTH: u32 = 64;
+    const TOO_DEEP: &'static str = "tree too deep: cycle suspected";
+
+    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
+        root_pointer(image, self.root_slot, 0, kids)
+    }
+
+    fn visit(
+        &self,
         image: &mut ImageReader<'_>,
-        map: &AddressMap,
-        budget: &mut NodeBudget,
         node: Addr,
-        depth: u32,
-        keys: &mut u64,
-    ) -> Result<(), String> {
-        if depth > 64 {
-            return Err("tree too deep: cycle suspected".into());
-        }
-        if !map.is_persistent(node) || !node.is_multiple_of(8) {
-            return Err(format!("malformed node pointer {node:#x}"));
-        }
-        budget.visit()?;
+        kids: &mut Vec<Addr>,
+    ) -> Result<Local, String> {
         let h = image.read_u64(node);
         let count = hdr_count(h);
         if count == 0 || count > FANOUT {
             return Err(format!("bad count {count} at {node:#x}"));
         }
+        let mut keys = 0;
         for i in 0..count {
             let k = image.read_u64(entry_addr(node, i));
             let payload = image.read_u64(entry_addr(node, i) + 8);
-            if hdr_is_leaf(h) {
-                if payload != k.wrapping_mul(5) {
-                    return Err(format!("torn leaf entry at {node:#x} slot {i}"));
-                }
-                *keys += 1;
+            if !hdr_is_leaf(h) {
+                kids.push(payload);
+            } else if payload != k.wrapping_mul(5) {
+                return Err(format!("torn leaf entry at {node:#x} slot {i}"));
             } else {
-                walk(image, map, budget, payload, depth + 1, keys)?;
+                keys += 1;
             }
         }
-        Ok(())
+        Ok(Local {
+            span: entry_addr(node, count) - node,
+            leaves: keys,
+            key: 0,
+        })
     }
 
-    let mut reader = image.reader();
-    let root = reader.read_u64(root_slot);
-    if root == 0 {
-        return Ok(0);
+    fn malformed(&self, node: Addr) -> String {
+        format!("malformed node pointer {node:#x}")
     }
-    let mut keys = 0;
-    let mut budget = NodeBudget::new(map, NODE_BYTES);
-    walk(&mut reader, map, &mut budget, root, 0, &mut keys)?;
-    Ok(keys)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
 use crate::palloc::Palloc;
-use crate::walk::NodeBudget;
+use crate::walk::{root_pointer, Local, Shape, Walker};
 
 const TAG_LEAF: u64 = 0;
 const TAG_INTERNAL: u64 = 1;
@@ -302,6 +302,74 @@ impl Workload for CtreeWorkload {
     }
 }
 
+/// The ctree's recovery rules for the shared walk.
+#[derive(Debug)]
+pub(crate) struct CtreeShape {
+    /// The root-pointer slot.
+    pub(crate) root_addr: Addr,
+}
+
+/// [`Local::key`] of a leaf: it tests no bit.
+const NO_BIT: u32 = u32::MAX;
+
+/// [`Local::key`] of the root slot, and the ceiling of an internal
+/// node's: every bit index must lie below it.
+const ROOT_BIT: u32 = KEY_BITS + 1;
+
+impl Shape for CtreeShape {
+    // A leaf (16 bytes) is the smallest node.
+    const MIN_NODE_BYTES: u64 = 16;
+    const MAX_DEPTH: u32 = 200;
+    const TOO_DEEP: &'static str = "path too deep: cycle suspected";
+
+    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
+        root_pointer(image, self.root_addr, ROOT_BIT, kids)
+    }
+
+    fn visit(
+        &self,
+        image: &mut ImageReader<'_>,
+        p: Addr,
+        kids: &mut Vec<Addr>,
+    ) -> Result<Local, String> {
+        let tag = image.read_u64(p);
+        if is_leaf(tag) {
+            if tag == 0 {
+                return Err(format!("pointer {p:#x} to uninitialized node"));
+            }
+            return Ok(Local {
+                span: 8,
+                leaves: 1,
+                key: NO_BIT,
+            });
+        }
+        if tag & 0xFF != TAG_INTERNAL {
+            return Err(format!("bad tag {tag:#x} at {p:#x}"));
+        }
+        kids.push(image.read_u64(p + 8));
+        kids.push(image.read_u64(p + 16));
+        // Clamping keeps `NO_BIT` free: a bit at or past the root's fails
+        // every edge check, clamped or not.
+        Ok(Local {
+            span: 24,
+            leaves: 0,
+            key: node_bit(tag).min(ROOT_BIT),
+        })
+    }
+
+    fn malformed(&self, p: Addr) -> String {
+        format!("malformed pointer {p:#x}")
+    }
+
+    /// Bit indices strictly decrease along every path.
+    fn edge(&self, parent: u32, child: Addr, key: u32) -> Result<(), String> {
+        if key != NO_BIT && key >= parent {
+            return Err(format!("bit order violated at {child:#x}"));
+        }
+        Ok(())
+    }
+}
+
 /// Validates a post-crash ctree image: every pointer reachable from the
 /// root must lead to a well-formed internal node or tagged leaf, with bit
 /// indices strictly decreasing along every path.
@@ -316,61 +384,7 @@ pub fn check_ctree_recovery(
     map: &AddressMap,
     root_addr: Addr,
 ) -> Result<u64, String> {
-    fn walk(
-        image: &mut ImageReader<'_>,
-        map: &AddressMap,
-        budget: &mut NodeBudget,
-        p: Addr,
-        max_bit: u32,
-        leaves: &mut u64,
-        depth: u32,
-    ) -> Result<(), String> {
-        if depth > 200 {
-            return Err("path too deep: cycle suspected".to_owned());
-        }
-        if !map.is_persistent(p) || !p.is_multiple_of(8) {
-            return Err(format!("malformed pointer {p:#x}"));
-        }
-        budget.visit()?;
-        let tag = image.read_u64(p);
-        if is_leaf(tag) {
-            if tag == 0 {
-                return Err(format!("pointer {p:#x} to uninitialized node"));
-            }
-            *leaves += 1;
-            return Ok(());
-        }
-        if tag & 0xFF != TAG_INTERNAL {
-            return Err(format!("bad tag {tag:#x} at {p:#x}"));
-        }
-        let bit = node_bit(tag);
-        if bit >= max_bit {
-            return Err(format!("bit order violated at {p:#x}"));
-        }
-        let left = image.read_u64(p + 8);
-        walk(image, map, budget, left, bit, leaves, depth + 1)?;
-        let right = image.read_u64(p + 16);
-        walk(image, map, budget, right, bit, leaves, depth + 1)
-    }
-
-    let mut reader = image.reader();
-    let root = reader.read_u64(root_addr);
-    if root == 0 {
-        return Ok(0);
-    }
-    let mut leaves = 0;
-    // A leaf (16 bytes) is the smallest node.
-    let mut budget = NodeBudget::new(map, 16);
-    walk(
-        &mut reader,
-        map,
-        &mut budget,
-        root,
-        KEY_BITS + 1,
-        &mut leaves,
-        0,
-    )?;
-    Ok(leaves)
+    Walker::new(CtreeShape { root_addr }, map).check(image)
 }
 
 #[cfg(test)]

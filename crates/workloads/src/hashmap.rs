@@ -12,12 +12,12 @@
 
 use bbb_core::Workload;
 use bbb_cpu::Op;
-use bbb_mem::{ByteStore, NvmImage};
+use bbb_mem::{ByteStore, ImageReader, NvmImage};
 use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
 use crate::palloc::Palloc;
-use crate::walk::NodeBudget;
+use crate::walk::{Local, Shape, Walker};
 
 /// A persistent chained hashmap driven as a multi-core workload.
 #[derive(Debug)]
@@ -171,29 +171,71 @@ pub fn check_hashmap_recovery(
     buckets_addr: Addr,
     n_buckets: u64,
 ) -> Result<u64, String> {
-    let mut image = image.reader();
-    let mut budget = NodeBudget::new(map, HashmapWorkload::NODE_BYTES);
-    let mut nodes = 0u64;
-    for i in 0..n_buckets {
-        let mut p = image.read_u64(buckets_addr + i * 8);
-        while p != 0 {
-            if !map.is_persistent(p) || !p.is_multiple_of(8) {
-                return Err(format!("bucket {i}: malformed pointer {p:#x}"));
-            }
-            let key = image.read_u64(p);
-            if key == 0 {
-                return Err(format!("bucket {i}: pointer to uninitialized node {p:#x}"));
-            }
-            let value = image.read_u64(p + 8);
-            if value != key.wrapping_mul(7) {
-                return Err(format!("bucket {i}: torn node at {p:#x}"));
-            }
-            budget.visit().map_err(|e| format!("bucket {i}: {e}"))?;
-            nodes += 1;
-            p = image.read_u64(p + 16);
-        }
+    Walker::new(
+        HashmapShape {
+            buckets_addr,
+            n_buckets,
+        },
+        map,
+    )
+    .check(image)
+}
+
+/// The hash map's recovery rules for the shared walk: the bucket array
+/// is the root slots, and each chain node's child is its successor.
+#[derive(Debug)]
+pub(crate) struct HashmapShape {
+    pub(crate) buckets_addr: Addr,
+    pub(crate) n_buckets: u64,
+}
+
+impl Shape for HashmapShape {
+    const MIN_NODE_BYTES: u64 = HashmapWorkload::NODE_BYTES;
+    const BUDGET_FIRST: bool = false;
+
+    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
+        kids.extend((0..self.n_buckets).map(|i| image.read_u64(self.buckets_addr + i * 8)));
+        let slots = Local {
+            span: self.n_buckets * 8,
+            leaves: 0,
+            key: 0,
+        };
+        (self.buckets_addr, slots)
     }
-    Ok(nodes)
+
+    fn visit(
+        &self,
+        image: &mut ImageReader<'_>,
+        p: Addr,
+        kids: &mut Vec<Addr>,
+    ) -> Result<Local, String> {
+        let key = image.read_u64(p);
+        if key == 0 {
+            return Err(format!("pointer to uninitialized node {p:#x}"));
+        }
+        let value = image.read_u64(p + 8);
+        if value != key.wrapping_mul(7) {
+            return Err(format!("torn node at {p:#x}"));
+        }
+        kids.push(image.read_u64(p + 16));
+        Ok(Local {
+            span: HashmapWorkload::NODE_BYTES,
+            leaves: 1,
+            key: 0,
+        })
+    }
+
+    fn malformed(&self, p: Addr) -> String {
+        format!("malformed pointer {p:#x}")
+    }
+
+    fn is_null(&self, p: Addr) -> bool {
+        p == 0
+    }
+
+    fn under(&self, bucket: usize, err: String) -> String {
+        format!("bucket {bucket}: {err}")
+    }
 }
 
 #[cfg(test)]

@@ -53,8 +53,8 @@ pub use palloc::Palloc;
 pub use pstore_log::{check_pstore_recovery, PstoreLogWorkload, SimBacking};
 pub use rtree::RtreeWorkload;
 pub use suite::{
-    make_stream, make_workload, verify_recovery, verify_recovery_report, RecoveryReport,
-    WorkloadKind, WorkloadParams,
+    make_stream, make_workload, verify_recovery, verify_recovery_report, RecoveryOracle,
+    RecoveryReport, WorkloadKind, WorkloadParams,
 };
 pub use wal::{check_wal_recovery, WalLayout, WalSpec, WalWorkload};
 
@@ -75,4 +75,5 @@ const _: () = {
     assert_send::<KvWorkload>();
     assert_send::<WalWorkload>();
     assert_send::<Box<dyn bbb_core::OpStream>>();
+    assert_send::<RecoveryOracle>();
 };

@@ -27,7 +27,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 use crate::builder::OpBuilder;
 use crate::locks::InsertLock;
 use crate::palloc::Palloc;
-use crate::walk::NodeBudget;
+use crate::walk::{root_pointer, Local, Shape, Walker};
 
 /// Entries per R-tree node.
 pub const FANOUT: usize = 8;
@@ -444,54 +444,61 @@ pub fn check_rtree_recovery(
     map: &AddressMap,
     root_slot: Addr,
 ) -> Result<u64, String> {
-    fn walk(
+    Walker::new(RtreeShape { root_slot }, map).check(image)
+}
+
+/// The R-tree's recovery rules for the shared walk.
+#[derive(Debug)]
+pub(crate) struct RtreeShape {
+    /// The root-pointer slot.
+    pub(crate) root_slot: Addr,
+}
+
+impl Shape for RtreeShape {
+    const MIN_NODE_BYTES: u64 = NODE_BYTES;
+    const MAX_DEPTH: u32 = 64;
+    const TOO_DEEP: &'static str = "tree too deep: cycle suspected";
+
+    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
+        root_pointer(image, self.root_slot, 0, kids)
+    }
+
+    fn visit(
+        &self,
         image: &mut ImageReader<'_>,
-        map: &AddressMap,
-        budget: &mut NodeBudget,
         node: Addr,
-        depth: u32,
-        leaves: &mut u64,
-    ) -> Result<(), String> {
-        if depth > 64 {
-            return Err("tree too deep: cycle suspected".into());
-        }
-        if !map.is_persistent(node) || !node.is_multiple_of(8) {
-            return Err(format!("malformed node pointer {node:#x}"));
-        }
-        budget.visit()?;
+        kids: &mut Vec<Addr>,
+    ) -> Result<Local, String> {
         let h = image.read_u64(node);
         let count = hdr_count(h);
         if count == 0 || count > FANOUT {
             return Err(format!("bad count {count} at {node:#x}"));
         }
+        let mut leaves = 0;
         for i in 0..count {
             let r = Rect::unpack(image.read_u64(entry_addr(node, i)));
             if !r.valid() {
                 return Err(format!("invalid rect at {node:#x} entry {i}"));
             }
-            if hdr_is_leaf(h) {
-                let v = image.read_u64(entry_addr(node, i) + 8);
-                if v == 0 {
-                    return Err(format!("zero value at leaf {node:#x} entry {i}"));
-                }
-                *leaves += 1;
+            let v = image.read_u64(entry_addr(node, i) + 8);
+            if !hdr_is_leaf(h) {
+                kids.push(v);
+            } else if v == 0 {
+                return Err(format!("zero value at leaf {node:#x} entry {i}"));
             } else {
-                let child = image.read_u64(entry_addr(node, i) + 8);
-                walk(image, map, budget, child, depth + 1, leaves)?;
+                leaves += 1;
             }
         }
-        Ok(())
+        Ok(Local {
+            span: entry_addr(node, count) - node,
+            leaves,
+            key: 0,
+        })
     }
 
-    let mut reader = image.reader();
-    let root = reader.read_u64(root_slot);
-    if root == 0 {
-        return Ok(0);
+    fn malformed(&self, node: Addr) -> String {
+        format!("malformed node pointer {node:#x}")
     }
-    let mut leaves = 0;
-    let mut budget = NodeBudget::new(map, NODE_BYTES);
-    walk(&mut reader, map, &mut budget, root, 0, &mut leaves)?;
-    Ok(leaves)
 }
 
 #[cfg(test)]

@@ -10,14 +10,15 @@ use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{AddressMap, SimConfig};
 
 use crate::arrays::{ArrayOpKind, ArrayWorkload, Sharing};
-use crate::btree::BtreeWorkload;
-use crate::ctree::CtreeWorkload;
-use crate::hashmap::HashmapWorkload;
+use crate::btree::{BtreeShape, BtreeWorkload};
+use crate::ctree::{CtreeShape, CtreeWorkload};
+use crate::hashmap::{HashmapShape, HashmapWorkload};
 use crate::kv::{check_kv_recovery, KvLayout, KvMix, KvSpec, KvWorkload};
 use crate::palloc::Palloc;
 use crate::pstore_log::{check_pstore_recovery, PstoreLogWorkload, SIM_RING_CAPACITY};
-use crate::rtree::RtreeWorkload;
+use crate::rtree::{RtreeShape, RtreeWorkload};
 use crate::wal::{check_wal_recovery, WalLayout, WalSpec, WalWorkload};
+use crate::walk::Walker;
 
 /// Reserved root area at the start of the persistent heap (roots, bucket
 /// arrays): 2 MiB on paper-sized heaps, scaled down for small test heaps.
@@ -448,7 +449,7 @@ pub fn make_workload(
 
 /// Verifies a post-crash image against the structural invariants of the
 /// workload `kind` was built with (same `cfg`/`params` layout). Returns
-/// the number of recovered elements.
+/// the number of recovered elements. A one-off [`RecoveryOracle`] check.
 ///
 /// # Errors
 ///
@@ -461,27 +462,107 @@ pub fn verify_recovery(
     cfg: &SimConfig,
     params: WorkloadParams,
 ) -> Result<u64, String> {
-    let map = AddressMap::new(cfg);
-    let base = map.persistent_base();
-    match kind {
-        WorkloadKind::Rtree => crate::rtree::check_rtree_recovery(image, &map, base),
-        WorkloadKind::Ctree => crate::ctree::check_ctree_recovery(image, &map, base),
-        WorkloadKind::Btree => crate::btree::check_btree_recovery(image, &map, base),
-        WorkloadKind::Hashmap => {
-            crate::hashmap::check_hashmap_recovery(image, &map, base, hashmap_buckets(cfg, params))
+    RecoveryOracle::new(kind, cfg, params).verify(image)
+}
+
+/// The recovery oracle of one workload layout, kept across the crash
+/// images of one run.
+///
+/// The pointer-linked structures (the crit-bit tree, R-tree, B-tree and
+/// hash map) share one incremental walk: once a check has verified, the
+/// oracle memoizes the last image that verified and walks again only the
+/// nodes on 64-byte blocks that changed since, and their ancestors. Each
+/// verdict — the recovered count and the failure text — is the one a
+/// fresh oracle gives. The other structures are checked in one pass.
+#[derive(Debug)]
+pub struct RecoveryOracle {
+    kind: WorkloadKind,
+    walk: Walk,
+}
+
+/// How a [`RecoveryOracle`] checks its structure.
+#[derive(Debug)]
+enum Walk {
+    Ctree(Walker<CtreeShape>),
+    Rtree(Walker<RtreeShape>),
+    Btree(Walker<BtreeShape>),
+    Hashmap(Walker<HashmapShape>),
+    /// The one-pass checks, with no memo.
+    Array {
+        base: u64,
+        elements: u64,
+    },
+    Pstore {
+        ring_base: u64,
+        seed: u64,
+    },
+    Kv(KvLayout),
+    Wal(WalLayout),
+}
+
+impl RecoveryOracle {
+    /// The oracle of the structure `kind` builds under `cfg` and `params`.
+    #[must_use]
+    pub fn new(kind: WorkloadKind, cfg: &SimConfig, params: WorkloadParams) -> Self {
+        let map = AddressMap::new(cfg);
+        let base = map.persistent_base();
+        let walk = match kind {
+            WorkloadKind::Rtree => Walk::Rtree(Walker::new(RtreeShape { root_slot: base }, &map)),
+            WorkloadKind::Ctree => Walk::Ctree(Walker::new(CtreeShape { root_addr: base }, &map)),
+            WorkloadKind::Btree => Walk::Btree(Walker::new(BtreeShape { root_slot: base }, &map)),
+            WorkloadKind::Hashmap => Walk::Hashmap(Walker::new(
+                HashmapShape {
+                    buckets_addr: base,
+                    n_buckets: hashmap_buckets(cfg, params),
+                },
+                &map,
+            )),
+            WorkloadKind::MutateNC
+            | WorkloadKind::MutateC
+            | WorkloadKind::SwapNC
+            | WorkloadKind::SwapC => {
+                let (base, elements) = array_geometry(cfg, params);
+                Walk::Array { base, elements }
+            }
+            WorkloadKind::PstoreLog => Walk::Pstore {
+                ring_base: pstore_ring_base(cfg),
+                seed: params.seed,
+            },
+            WorkloadKind::KvA | WorkloadKind::KvB | WorkloadKind::KvC => {
+                Walk::Kv(kv_geometry(cfg, params))
+            }
+            WorkloadKind::Wal => Walk::Wal(wal_geometry(cfg, params)),
+        };
+        Self { kind, walk }
+    }
+
+    /// Verifies `image`: the recovered count, or the first inconsistency.
+    fn verify(&mut self, image: &NvmImage) -> Result<u64, String> {
+        match &mut self.walk {
+            Walk::Ctree(w) => w.check(image),
+            Walk::Rtree(w) => w.check(image),
+            Walk::Btree(w) => w.check(image),
+            Walk::Hashmap(w) => w.check(image),
+            Walk::Array { base, elements } => {
+                crate::arrays::check_array_recovery(image, *base, *elements)
+            }
+            Walk::Pstore { ring_base, seed } => check_pstore_recovery(image, *ring_base, *seed),
+            Walk::Kv(layout) => check_kv_recovery(image, layout),
+            Walk::Wal(layout) => check_wal_recovery(image, layout),
         }
-        WorkloadKind::MutateNC
-        | WorkloadKind::MutateC
-        | WorkloadKind::SwapNC
-        | WorkloadKind::SwapC => {
-            let (array_base, elements) = array_geometry(cfg, params);
-            crate::arrays::check_array_recovery(image, array_base, elements)
+    }
+
+    /// Verifies `image` (see [`verify_recovery`]).
+    pub fn check(&mut self, image: &NvmImage) -> RecoveryReport {
+        let (recovered, failure) = match self.verify(image) {
+            Ok(recovered) => (recovered, None),
+            Err(msg) => (0, Some(msg)),
+        };
+        RecoveryReport {
+            workload: self.kind,
+            recovered,
+            failure,
         }
-        WorkloadKind::PstoreLog => check_pstore_recovery(image, pstore_ring_base(cfg), params.seed),
-        WorkloadKind::KvA | WorkloadKind::KvB | WorkloadKind::KvC => {
-            check_kv_recovery(image, &kv_geometry(cfg, params))
-        }
-        WorkloadKind::Wal => check_wal_recovery(image, &wal_geometry(cfg, params)),
     }
 }
 
@@ -531,18 +612,7 @@ pub fn verify_recovery_report(
     cfg: &SimConfig,
     params: WorkloadParams,
 ) -> RecoveryReport {
-    match verify_recovery(kind, image, cfg, params) {
-        Ok(recovered) => RecoveryReport {
-            workload: kind,
-            recovered,
-            failure: None,
-        },
-        Err(msg) => RecoveryReport {
-            workload: kind,
-            recovered: 0,
-            failure: Some(msg),
-        },
-    }
+    RecoveryOracle::new(kind, cfg, params).check(image)
 }
 
 /// Wraps a workload so every high-level operation ends with a persist

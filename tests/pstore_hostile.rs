@@ -143,3 +143,54 @@ fn attach_at_the_end_of_the_offset_space_returns_a_verdict() {
         let _ = RingWriter::attach(&mut b, Discipline::BufferBacked);
     }
 }
+
+/// A writer attached to a 512-byte ring whose empty window sits at
+/// offset `off` under committed sequence `seq`.
+fn writer_at(off: u64, seq: u64) -> (MemBacking, RingWriter) {
+    let mut b = MemBacking::new(backing_len(512) as usize);
+    RingWriter::create(&mut b, 512, Discipline::BufferBacked).unwrap();
+    for (at, word) in [
+        (COMMIT_WATERMARK_OFF, off),
+        (COMMIT_SEQ_OFF, seq),
+        (READ_MARK_OFF, off),
+        (READ_PUB_OFF, off),
+    ] {
+        b.write_u64(at, word).unwrap();
+    }
+    let w = RingWriter::attach(&mut b, Discipline::BufferBacked).expect("an empty window");
+    (b, w)
+}
+
+/// Grants one 16-byte record and commits it.
+fn append(b: &mut MemBacking, w: &mut RingWriter) -> Result<(), String> {
+    let g = w.grant_write(b, 16).map_err(|e| e.to_string())?;
+    w.commit(b, &g)
+}
+
+#[test]
+fn grant_past_the_end_of_the_offset_space_is_refused() {
+    // The lap-tail pad plus the record would end past 2^64.
+    let (mut b, mut w) = writer_at(u64::MAX - 7, 5);
+    assert!(append(&mut b, &mut w).is_err());
+}
+
+#[test]
+fn grant_whose_window_limit_passes_2_64_is_refused() {
+    // The record itself fits, but the released window's end,
+    // `read_pub + capacity`, lies past 2^64.
+    let (mut b, mut w) = writer_at(u64::MAX - 71, 5);
+    assert!(append(&mut b, &mut w).is_err());
+}
+
+#[test]
+fn grant_of_the_last_sequence_number_is_refused() {
+    // `recover` accepts a watermark of 2^64 - 2, so the writer attaches at
+    // the last sequence number, which recovery rejects in a record.
+    let (mut b, mut w) = writer_at(0, u64::MAX - 1);
+    assert_eq!(w.next_seq(), u64::MAX);
+    assert!(append(&mut b, &mut w).is_err());
+    assert!(
+        recover(&mut b).is_ok(),
+        "a refused grant leaves the ring intact"
+    );
+}
