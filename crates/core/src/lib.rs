@@ -70,6 +70,6 @@ pub use memories::Memories;
 pub use mode::PersistencyMode;
 pub use persist::PersistState;
 pub use procside::ProcSidePb;
-pub use stream::{OpStream, StreamWorkload};
+pub use stream::{Batched, OpStream};
 pub use system::{ProbeKind, RunCursor, RunSummary, StopAt, System, SystemError};
 pub use workload::Workload;

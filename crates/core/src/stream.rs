@@ -1,28 +1,20 @@
-//! Pull-based op streaming — the server-scale workload interface.
+//! The op feed: the one way ops reach the run loop.
 //!
-//! The batch [`Workload`] contract materializes a `Vec<Op>` per
-//! high-level operation; that is fine for the paper's microbenchmarks but
-//! allocates on every request and invites pre-materializing whole op
-//! vectors. [`OpStream`] is the O(live keys) alternative: the system
-//! pulls exactly one op at a time and the generator keeps only its live
-//! state (key tables, per-core cursors) — memory stays independent of
-//! how many ops a run executes, which is what makes million-key ×
-//! ten-million-op sweeps feasible.
-//!
-//! Semantics match the batch path exactly: ops are generated against the
-//! architectural memory at the simulation instant the core is ready for
-//! them, and stores mutate `arch` only when they *commit* inside the
-//! system (not at generation time), preserving honest cross-core
-//! visibility. A stream wrapped in [`StreamWorkload`] therefore produces
-//! the same committed op sequence as feeding it to
-//! [`System::run_stream`](crate::System::run_stream) directly.
+//! Every generator is a batch [`Workload`], one high-level operation's
+//! ops per `next_batch`; wrappers such as the epoch barrier transform it
+//! once for every workload. The run loop steps one op at a time through
+//! an [`OpStream`], and [`Batched`] adapts the one to the other: a
+//! core's queue holds at most the rest of its current operation, so
+//! memory stays independent of how many ops a run executes.
+
+use std::vec::IntoIter;
 
 use bbb_cpu::Op;
 use bbb_mem::ByteStore;
 
 use crate::workload::Workload;
 
-/// A multi-threaded workload that yields one op at a time.
+/// A multi-threaded op source that yields one op at a time.
 ///
 /// `Send` is a supertrait for the same reason as on [`Workload`]:
 /// experiment points run on worker threads.
@@ -58,24 +50,41 @@ impl OpStream for Box<dyn OpStream> {
     }
 }
 
-/// Adapts an [`OpStream`] to the batch [`Workload`] interface with
-/// one-op batches, so stream-native workloads can ride every existing
-/// batch driver (crash sweeps, epoch wrappers, recovery checks) with an
-/// identical committed op sequence.
+/// Feeds a [`Workload`] to the run loop one op at a time: each core's
+/// queue holds the ops of its current operation, and an empty queue pulls
+/// the core's next batch. An empty batch pulls again at once; no other
+/// core can run in between, because the core asking is the scheduler's
+/// earliest event and stays so until it steps an op.
 #[derive(Debug)]
-pub struct StreamWorkload<S>(pub S);
+pub struct Batched<W> {
+    pub(crate) workload: W,
+    pub(crate) queues: Vec<IntoIter<Op>>,
+}
 
-impl<S: OpStream> Workload for StreamWorkload<S> {
+impl<W: Workload> Batched<W> {
+    /// Feeds `workload` to a `cores`-core machine.
+    pub fn new(workload: W, cores: usize) -> Self {
+        let queues = vec![Vec::new().into_iter(); cores];
+        Self { workload, queues }
+    }
+}
+
+impl<W: Workload> OpStream for Batched<W> {
     fn name(&self) -> &str {
-        self.0.name()
+        self.workload.name()
     }
 
     fn setup(&mut self, arch: &mut ByteStore) {
-        self.0.setup(arch);
+        self.workload.setup(arch);
     }
 
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        self.0.next_op(core, arch).map(|op| vec![op])
+    fn next_op(&mut self, core: usize, arch: &mut ByteStore) -> Option<Op> {
+        loop {
+            if let Some(op) = self.queues[core].next() {
+                return Some(op);
+            }
+            self.queues[core] = self.workload.next_batch(core, arch)?.into_iter();
+        }
     }
 }
 
@@ -102,6 +111,19 @@ mod tests {
         }
     }
 
+    /// Core 0: a two-op batch, an empty one, a one-op batch, then the end.
+    struct Batches(Vec<Vec<Op>>);
+
+    impl Workload for Batches {
+        fn name(&self) -> &str {
+            "batches"
+        }
+
+        fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+            (core == 0 && !self.0.is_empty()).then(|| self.0.remove(0))
+        }
+    }
+
     #[test]
     fn stream_is_object_safe_and_adapts_to_workload() {
         let mut arch = ByteStore::new();
@@ -112,14 +134,18 @@ mod tests {
         assert_eq!(s.name(), "count");
         assert!(s.next_op(0, &mut arch).is_some());
 
-        let mut w = StreamWorkload(CountStream {
-            remaining: vec![1, 0],
-            base: 0x1000,
-        });
-        assert_eq!(w.name(), "count");
-        let batch = w.next_batch(0, &mut arch).expect("one op left");
-        assert_eq!(batch.len(), 1);
-        assert!(w.next_batch(0, &mut arch).is_none());
-        assert!(w.next_batch(1, &mut arch).is_none());
+        let ops = [
+            Op::Fence,
+            Op::Compute { cycles: 1 },
+            Op::Compute { cycles: 2 },
+        ];
+        let w = Batches(vec![ops[..2].to_vec(), vec![], ops[2..].to_vec()]);
+        let mut b: Box<dyn OpStream> = Box::new(Batched::new(w, 2));
+        assert_eq!(b.name(), "batches");
+        for op in ops {
+            assert_eq!(b.next_op(0, &mut arch), Some(op));
+        }
+        assert_eq!(b.next_op(0, &mut arch), None);
+        assert_eq!(b.next_op(1, &mut arch), None);
     }
 }

@@ -17,7 +17,7 @@
 //! design's central property (PoV == PoP).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::iter::Peekable;
@@ -35,7 +35,7 @@ use crate::latency::PersistLatencyTracker;
 use crate::memories::Memories;
 use crate::mode::PersistencyMode;
 use crate::persist::PersistState;
-use crate::stream::OpStream;
+use crate::stream::{Batched, OpStream};
 use crate::workload::Workload;
 
 /// Errors from building or driving a [`System`].
@@ -90,15 +90,17 @@ pub enum StopAt {
     End,
 }
 
-/// Resumable state of a multi-core run: the per-core op queues, liveness
-/// and op count that [`System::run`] keeps internally. Holding it outside
-/// the call lets a driver advance one run in increments via
+/// Resumable state of a multi-core run: the per-core liveness, op count
+/// and pending ops that [`System::run`] keeps internally. Holding it
+/// outside the call lets a driver advance one run in increments via
 /// [`System::run_until`] and, between increments, crash-test clones of the
 /// machine without replaying from cycle zero. Scheduling state is not
 /// part of it: each call schedules from the core clocks as it finds them.
 #[derive(Debug, Clone)]
 pub struct RunCursor {
-    queues: Vec<VecDeque<Op>>,
+    /// The [`Batched`] feed's queues between calls: the rest of the
+    /// operation each core was in when a call stopped.
+    pending: Vec<std::vec::IntoIter<Op>>,
     active: Vec<bool>,
     ops: u64,
     /// The run loop's min-heap of `(cycle, core)` events, earliest cycle
@@ -112,7 +114,7 @@ impl RunCursor {
     #[must_use]
     pub fn new(cores: usize) -> Self {
         Self {
-            queues: vec![VecDeque::new(); cores],
+            pending: vec![Vec::new().into_iter(); cores],
             active: vec![true; cores],
             ops: 0,
             events: BinaryHeap::new(),
@@ -148,16 +150,6 @@ pub enum ProbeKind {
     /// store boundaries, which the ordering probe cannot see at all on a
     /// battery-backed machine.
     PersistingStores,
-}
-
-/// The op source driving a run: batch workloads refill the cursor's
-/// per-core queues, pull-based streams hand the scheduler one op at a
-/// time with no intermediate buffer.
-enum Feed<'a> {
-    /// Batch interface: `next_batch` vectors queued per core.
-    Batch(&'a mut dyn Workload),
-    /// Pull interface: `next_op`, zero queueing.
-    Stream(&'a mut dyn OpStream),
 }
 
 /// A structure whose contents survive a power failure: the entries of
@@ -430,7 +422,8 @@ impl System {
     /// total ops have committed (`u64::MAX` for unlimited). Store buffers
     /// are pumped (not force-drained) at the end.
     pub fn run(&mut self, workload: &mut dyn Workload, op_budget: u64) -> RunSummary {
-        self.run_to_budget(Feed::Batch(workload), op_budget)
+        let cores = self.cores.len();
+        self.run_stream(&mut Batched::new(workload, cores), op_budget)
     }
 
     /// Advances a multi-threaded run until `stop` is reached or the
@@ -453,24 +446,16 @@ impl System {
         cursor: &mut RunCursor,
         stop: StopAt,
     ) -> RunSummary {
-        self.run_inner(Feed::Batch(workload), cursor, stop, None)
+        self.run_batched(workload, cursor, stop, None)
     }
 
-    /// [`System::run`] for a pull-based [`OpStream`]: drives the stream to
-    /// completion or until `op_budget` total ops have committed, pulling
-    /// exactly one op at a time — no per-request `Vec` is ever built, so
-    /// the run's memory footprint is the generator's live state alone.
+    /// Drives `stream` to completion or until `op_budget` total ops have
+    /// committed, then pumps each store buffer at its core's clock so
+    /// in-progress drains finish where they can. [`System::run`] is this
+    /// over a [`Batched`] feed.
     pub fn run_stream(&mut self, stream: &mut dyn OpStream, op_budget: u64) -> RunSummary {
-        self.run_to_budget(Feed::Stream(stream), op_budget)
-    }
-
-    /// The body of [`System::run`] and [`System::run_stream`]: a fresh
-    /// run to completion or `op_budget` ops, then each store buffer is
-    /// pumped at its core's clock so in-progress drains finish where they
-    /// can.
-    fn run_to_budget(&mut self, feed: Feed<'_>, op_budget: u64) -> RunSummary {
         let mut cursor = RunCursor::new(self.cores.len());
-        let summary = self.run_inner(feed, &mut cursor, StopAt::Ops(op_budget), None);
+        let summary = self.run_inner(stream, &mut cursor, StopAt::Ops(op_budget), None);
         for c in 0..self.cores.len() {
             let t = self.cores[c].ready_at;
             self.pump_sb(c, t);
@@ -493,17 +478,28 @@ impl System {
         event_cycles: &mut Vec<Cycle>,
         kind: ProbeKind,
     ) -> RunSummary {
-        self.run_inner(
-            Feed::Batch(workload),
-            cursor,
-            StopAt::End,
-            Some((event_cycles, kind)),
-        )
+        self.run_batched(workload, cursor, StopAt::End, Some((event_cycles, kind)))
+    }
+
+    /// [`System::run_inner`] through a [`Batched`] feed that resumes the
+    /// ops `cursor` holds pending and hands back the ones left at the stop.
+    fn run_batched(
+        &mut self,
+        workload: &mut dyn Workload,
+        cursor: &mut RunCursor,
+        stop: StopAt,
+        probe: Option<(&mut Vec<Cycle>, ProbeKind)>,
+    ) -> RunSummary {
+        let queues = std::mem::take(&mut cursor.pending);
+        let mut feed = Batched { workload, queues };
+        let summary = self.run_inner(&mut feed, cursor, stop, probe);
+        cursor.pending = feed.queues;
+        summary
     }
 
     fn run_inner(
         &mut self,
-        mut feed: Feed<'_>,
+        feed: &mut dyn OpStream,
         cursor: &mut RunCursor,
         stop: StopAt,
         mut probe: Option<(&mut Vec<Cycle>, ProbeKind)>,
@@ -512,7 +508,7 @@ impl System {
             .as_ref()
             .map_or(0, |&(_, kind)| self.probe_signal(kind));
         let n = self.cores.len();
-        assert_eq!(cursor.queues.len(), n, "cursor built for another machine");
+        assert_eq!(cursor.active.len(), n, "cursor built for another machine");
         // One completion event per active core, at its clock as this call
         // finds it. While the loop runs, a popped core's next event is
         // pushed when it yields, and dropped when its stream ends.
@@ -539,34 +535,9 @@ impl System {
             // order (cycle, then lowest core index) exactly. Leaving this
             // loop yields: the core's next event goes back on the heap.
             loop {
-                let op = match cursor.queues[core].pop_front() {
-                    Some(op) => op,
-                    None => match feed {
-                        Feed::Batch(ref mut workload) => {
-                            match workload.next_batch(core, &mut self.arch) {
-                                Some(batch) => cursor.queues[core].extend(batch),
-                                None => {
-                                    cursor.active[core] = false;
-                                    continue 'sched; // stream ended: drop the core's event
-                                }
-                            }
-                            match cursor.queues[core].pop_front() {
-                                Some(op) => op,
-                                None => break,
-                            }
-                        }
-                        // Streams bypass the queue entirely: one op pulled,
-                        // one op stepped — no per-request buffer exists.
-                        Feed::Stream(ref mut stream) => {
-                            match stream.next_op(core, &mut self.arch) {
-                                Some(op) => op,
-                                None => {
-                                    cursor.active[core] = false;
-                                    continue 'sched;
-                                }
-                            }
-                        }
-                    },
+                let Some(op) = feed.next_op(core, &mut self.arch) else {
+                    cursor.active[core] = false;
+                    continue 'sched; // stream ended: drop the core's event
                 };
                 self.step_op(core, &op);
                 cursor.ops += 1;
@@ -2079,7 +2050,7 @@ mod tests {
     /// A stream yielding the same committed sequence as `ComputeHeavy`.
     struct ComputeHeavyStream {
         inner: ComputeHeavy,
-        bufs: Vec<VecDeque<Op>>,
+        bufs: Vec<std::collections::VecDeque<Op>>,
     }
 
     impl OpStream for ComputeHeavyStream {
@@ -2113,7 +2084,7 @@ mod tests {
                         left: [25, 18],
                         base,
                     },
-                    bufs: vec![VecDeque::new(); 2],
+                    bufs: vec![std::collections::VecDeque::new(); 2],
                 };
                 let r1 = batch_sys.run(&mut w, budget);
                 let r2 = stream_sys.run_stream(&mut s, budget);
@@ -2126,6 +2097,74 @@ mod tests {
                 );
                 let (ia, ib) = (batch_sys.crash_image(true), stream_sys.crash_image(true));
                 assert_eq!(ia.as_store(), ib.as_store(), "{mode:?} budget {budget}");
+            }
+        }
+    }
+
+    /// `ComputeHeavy` with an empty batch before each operation and before
+    /// the end of each core's stream.
+    struct Gapped {
+        inner: ComputeHeavy,
+        gap: [bool; 2],
+    }
+
+    impl Workload for Gapped {
+        fn name(&self) -> &str {
+            "gapped"
+        }
+        fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
+            self.gap[core] = !self.gap[core];
+            if self.gap[core] {
+                return Some(Vec::new());
+            }
+            self.inner.next_batch(core, arch)
+        }
+    }
+
+    #[test]
+    fn empty_batches_change_nothing() {
+        // Drives a run whole (0), in one-op `run_until` increments (1) or
+        // probed (2).
+        fn drive(s: &mut System, w: &mut dyn Workload, how: usize) -> (RunSummary, Vec<Cycle>) {
+            let mut cursor = RunCursor::new(s.cores.len());
+            let mut sink = Vec::new();
+            let summary = match how {
+                0 => s.run(w, u64::MAX),
+                1 => loop {
+                    let next = cursor.ops() + 1;
+                    let summary = s.run_until(w, &mut cursor, StopAt::Ops(next));
+                    if summary.completed {
+                        break summary;
+                    }
+                },
+                _ => s.run_probed(w, &mut cursor, &mut sink, ProbeKind::Ordering),
+            };
+            (summary, sink)
+        }
+        for mode in PersistencyMode::ALL {
+            for how in 0..3 {
+                let outcome = |gaps: bool| {
+                    let mut s = sys(mode);
+                    s.set_tracing(true);
+                    let inner = ComputeHeavy {
+                        left: [40, 31],
+                        base: pbase(&s) + 0x400,
+                    };
+                    let (summary, sink) = if gaps {
+                        let mut w = Gapped {
+                            inner,
+                            gap: [false; 2],
+                        };
+                        drive(&mut s, &mut w, how)
+                    } else {
+                        drive(&mut s, &mut { inner }, how)
+                    };
+                    let events = s.take_events();
+                    (summary, sink, events, s.crash_image(true).into_store())
+                };
+                let (plain, gapped) = (outcome(false), outcome(true));
+                assert!(plain.0.completed && !plain.2.is_empty(), "{mode:?} {how}");
+                assert_eq!(plain, gapped, "{mode:?} drive {how}");
             }
         }
     }

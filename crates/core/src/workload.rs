@@ -37,6 +37,20 @@ pub trait Workload: Send {
     fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>>;
 }
 
+impl<W: Workload + ?Sized> Workload for &mut W {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn setup(&mut self, arch: &mut ByteStore) {
+        (**self).setup(arch);
+    }
+
+    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
+        (**self).next_batch(core, arch)
+    }
+}
+
 impl Workload for Box<dyn Workload> {
     fn name(&self) -> &str {
         self.as_ref().name()

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use bbb_core::{RunSummary, System};
 use bbb_sim::Stats;
-use bbb_workloads::{make_stream, make_workload, suite::with_epoch_barriers};
+use bbb_workloads::{make_workload, suite::with_epoch_barriers};
 
 use crate::ExperimentSpec;
 
@@ -51,25 +51,19 @@ impl RunResult {
 /// Executes one spec to completion on the calling thread. Pure in the
 /// functional sense: the result is fully determined by the spec.
 ///
-/// Server-scale kinds take the streaming path ([`System::run_stream`]):
-/// one op is pulled at a time and memory stays O(live keys) regardless of
-/// the op budget. Batch kinds are unchanged.
+/// Every kind runs the same way: the workload (fenced once per operation
+/// under `epoch_barriers`) is set up, then pulled one op at a time by
+/// [`System::run`]. A server-scale kind's memory stays O(live keys)
+/// regardless of the op budget.
 #[must_use]
 pub fn execute_spec(spec: &ExperimentSpec) -> RunResult {
     let mut sys = System::new(spec.cfg.clone(), spec.mode).expect("valid config");
-    let summary = if let Some(mut stream) =
-        make_stream(spec.workload, &spec.cfg, spec.params, spec.epoch_barriers)
-    {
-        sys.prepare_stream(stream.as_mut());
-        sys.run_stream(stream.as_mut(), spec.op_budget)
-    } else {
-        let mut w = make_workload(spec.workload, &spec.cfg, spec.params);
-        if spec.epoch_barriers {
-            w = with_epoch_barriers(w);
-        }
-        sys.prepare(w.as_mut());
-        sys.run(w.as_mut(), spec.op_budget)
-    };
+    let mut w = make_workload(spec.workload, &spec.cfg, spec.params);
+    if spec.epoch_barriers {
+        w = with_epoch_barriers(w);
+    }
+    sys.prepare(w.as_mut());
+    let summary = sys.run(w.as_mut(), spec.op_budget);
     if spec.op_budget == u64::MAX {
         // End-of-measurement barrier; budget-capped runs skip it so crash
         // semantics stay observable to exploration drivers.

@@ -19,11 +19,11 @@
 //!   tenants and every core round-robins across them, so cores share hot
 //!   lines and bbPB entries migrate.
 //!
-//! The workload is stream-native ([`OpStream`]): per-core state is a
-//! PRNG, a handful of cursors, and one bounded op buffer — memory is
-//! O(live keys) for the table plus O(cores), independent of how many ops
-//! a run executes. [`StreamWorkload`](bbb_core::StreamWorkload) adapts it
-//! to the batch interface where needed.
+//! Each request is one [`Workload`] batch, generated from per-core state
+//! that is a PRNG and a handful of cursors, so memory is O(live keys) for
+//! the table plus O(cores), independent of how many ops a run executes.
+//! [`Batched`](bbb_core::Batched) feeds the requests to the run loop one
+//! op at a time.
 //!
 //! # Slot layout and crash discipline
 //!
@@ -42,7 +42,7 @@
 //! hot-key updates by different cores can interleave between the two
 //! stores — see [`RACE_WINDOW`]).
 
-use bbb_core::OpStream;
+use bbb_core::Workload;
 use bbb_cpu::Op;
 use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
 use bbb_sim::{Addr, SplitMix64, ZipfSampler};
@@ -80,13 +80,6 @@ const _: () = assert!(SCATTER_MUL.wrapping_mul(SCATTER_INV) == 1);
 /// chance of accepting random corruption.
 pub const RACE_WINDOW: u64 = 16;
 
-/// Maximum ops a single request expands to. The KV worst case is an
-/// instrumented insert inside a fresh burst with an epoch fence (1 gap +
-/// 3×(store,clwb,fence) + 1 = 11); the WAL worst case is an instrumented
-/// append that also truncates and group-commits (1 gap + 6 stores × 3 +
-/// 1 = 20).
-pub(crate) const MAX_REQUEST_OPS: usize = 24;
-
 /// Burst sizes are 1..=BURST_MAX requests (open-loop arrivals).
 pub(crate) const BURST_MAX: u64 = 8;
 /// Think-time gap between bursts: BASE + uniform(SPREAD) cycles.
@@ -103,43 +96,31 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A fixed-capacity per-core op buffer: one request's expansion, no heap
-/// allocation in steady state (the streaming path's whole point).
-#[derive(Debug, Clone)]
-pub(crate) struct OpBuf {
-    ops: [Op; MAX_REQUEST_OPS],
-    head: usize,
-    len: usize,
+/// Appends a persisting store, followed by `clwb`+`sfence` when
+/// `instrument` is on (the PMEM baseline).
+pub(crate) fn push_store(ops: &mut Vec<Op>, instrument: bool, addr: Addr, value: u64) {
+    ops.push(Op::store_u64(addr, value));
+    if instrument {
+        ops.extend([Op::Clwb { addr }, Op::Fence]);
+    }
 }
 
-impl OpBuf {
-    pub(crate) fn new() -> Self {
-        Self {
-            ops: [Op::Fence; MAX_REQUEST_OPS],
-            head: 0,
-            len: 0,
-        }
-    }
+/// Ops a request's `Vec` has room for up front. Every KV request and
+/// every uninstrumented WAL append, with an epoch fence, fits, so the
+/// vector is allocated once per request instead of regrown from empty.
+const REQUEST_CAPACITY: usize = 16;
 
-    pub(crate) fn push(&mut self, op: Op) {
-        assert!(self.len < MAX_REQUEST_OPS, "request exceeds op buffer");
-        self.ops[(self.head + self.len) % MAX_REQUEST_OPS] = op;
-        self.len += 1;
+/// Starts a request's ops: a think-time gap opens each burst of
+/// 1..=`BURST_MAX` requests (open-loop arrivals).
+pub(crate) fn open_request(rng: &mut SplitMix64, burst_left: &mut u64) -> Vec<Op> {
+    let mut ops = Vec::with_capacity(REQUEST_CAPACITY);
+    if *burst_left == 0 {
+        *burst_left = 1 + rng.next_below(BURST_MAX);
+        let gap = GAP_BASE + rng.next_below(GAP_SPREAD) as u32;
+        ops.push(Op::Compute { cycles: gap });
     }
-
-    pub(crate) fn pop(&mut self) -> Option<Op> {
-        if self.len == 0 {
-            return None;
-        }
-        let op = self.ops[self.head];
-        self.head = (self.head + 1) % MAX_REQUEST_OPS;
-        self.len -= 1;
-        Some(op)
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
+    *burst_left -= 1;
+    ops
 }
 
 /// YCSB-style request mixes (read% / update% / insert%).
@@ -285,11 +266,9 @@ pub struct KvSpec {
     pub seed: u64,
     /// Emit `clwb`+`sfence` after each persisting store (PMEM baseline).
     pub instrument: bool,
-    /// Emit an epoch fence after each request (BEP discipline).
-    pub epochs: bool,
 }
 
-/// The streaming KV workload. See module docs.
+/// The server-scale KV workload. See module docs.
 #[derive(Debug)]
 pub struct KvWorkload {
     name: String,
@@ -298,12 +277,11 @@ pub struct KvWorkload {
     zipf: ZipfSampler,
     /// Live key count per tenant (inserts append; generation-time state).
     live: Vec<u64>,
-    // Per-core streaming state.
+    // Per-core generation state.
     rngs: Vec<SplitMix64>,
     remaining: Vec<u64>,
     burst_left: Vec<u64>,
     req_seq: Vec<u64>,
-    bufs: Vec<OpBuf>,
 }
 
 impl KvWorkload {
@@ -326,7 +304,6 @@ impl KvWorkload {
             remaining: vec![spec.per_core_requests; cores],
             burst_left: vec![0; cores],
             req_seq: (0..cores as u64).collect(),
-            bufs: vec![OpBuf::new(); cores],
             layout,
             spec,
         }
@@ -338,63 +315,49 @@ impl KvWorkload {
         self.layout
     }
 
-    fn push_store(&mut self, core: usize, addr: Addr, value: u64) {
-        self.bufs[core].push(Op::store_u64(addr, value));
-        if self.spec.instrument {
-            self.bufs[core].push(Op::Clwb { addr });
-            self.bufs[core].push(Op::Fence);
-        }
-    }
-
-    /// Expands one request into the core's op buffer.
-    fn generate_request(&mut self, core: usize, arch: &mut ByteStore) {
-        // Open-loop arrivals: a think-time gap starts each burst.
-        if self.burst_left[core] == 0 {
-            self.burst_left[core] = 1 + self.rngs[core].next_below(BURST_MAX);
-            let gap = GAP_BASE + self.rngs[core].next_below(GAP_SPREAD) as u32;
-            self.bufs[core].push(Op::Compute { cycles: gap });
-        }
-        self.burst_left[core] -= 1;
+    /// The ops of `core`'s next request.
+    fn generate_request(&mut self, core: usize, arch: &ByteStore) -> Vec<Op> {
+        let mut ops = open_request(&mut self.rngs[core], &mut self.burst_left[core]);
+        let (layout, instrument) = (self.layout, self.spec.instrument);
 
         // Multi-tenant interleaving: successive requests rotate tenants,
         // offset by core so tenants are shared across cores.
-        let tenant = (self.req_seq[core] % self.layout.tenants as u64) as usize;
-        self.req_seq[core] += self.layout.tenants as u64 - 1; // coprime walk
+        let tenant = (self.req_seq[core] % layout.tenants as u64) as usize;
+        self.req_seq[core] += layout.tenants as u64 - 1; // coprime walk
         let (read_pct, update_pct) = self.spec.mix.percentages();
         let roll = self.rngs[core].next_below(100);
         let rank = self.zipf.sample(&mut self.rngs[core]);
 
         if roll < read_pct {
             // Read: version + payload loads.
-            let slot = self.layout.slot_addr(tenant, rank);
-            self.bufs[core].push(Op::load_u64(slot + 8));
-            self.bufs[core].push(Op::load_u64(slot + 16));
-        } else if roll < read_pct + update_pct || self.live[tenant] >= self.layout.cap_per_tenant {
+            let slot = layout.slot_addr(tenant, rank);
+            ops.extend([Op::load_u64(slot + 8), Op::load_u64(slot + 16)]);
+        } else if roll < read_pct + update_pct || self.live[tenant] >= layout.cap_per_tenant {
             // Update (inserts degrade to updates once headroom is spent):
             // read the committed version, publish payload then version.
-            let slot = self.layout.slot_addr(tenant, rank);
+            let slot = layout.slot_addr(tenant, rank);
             let v = arch.read_u64(slot + 8) + 1;
-            self.bufs[core].push(Op::load_u64(slot + 8));
-            self.push_store(core, slot + 16, self.layout.payload_of(tenant, rank, v));
-            self.push_store(core, slot + 8, v);
+            ops.push(Op::load_u64(slot + 8));
+            let payload = layout.payload_of(tenant, rank, v);
+            push_store(&mut ops, instrument, slot + 16, payload);
+            push_store(&mut ops, instrument, slot + 8, v);
         } else {
             // Insert: claim the next logical index (generation-time state,
             // so concurrent cores never claim the same slot), publish the
             // tag last — a torn insert leaves tag 0 and is simply absent.
             let idx = self.live[tenant];
             self.live[tenant] += 1;
-            let slot = self.layout.slot_addr(tenant, idx);
-            self.push_store(core, slot + 16, self.layout.payload_of(tenant, idx, 1));
-            self.push_store(core, slot + 8, 1);
-            self.push_store(core, slot, self.layout.tag_of(tenant, idx));
+            let slot = layout.slot_addr(tenant, idx);
+            let payload = layout.payload_of(tenant, idx, 1);
+            push_store(&mut ops, instrument, slot + 16, payload);
+            push_store(&mut ops, instrument, slot + 8, 1);
+            push_store(&mut ops, instrument, slot, layout.tag_of(tenant, idx));
         }
-        if self.spec.epochs {
-            self.bufs[core].push(Op::Fence);
-        }
+        ops
     }
 }
 
-impl OpStream for KvWorkload {
+impl Workload for KvWorkload {
     fn name(&self) -> &str {
         &self.name
     }
@@ -437,15 +400,12 @@ impl OpStream for KvWorkload {
         }
     }
 
-    fn next_op(&mut self, core: usize, arch: &mut ByteStore) -> Option<Op> {
-        if self.bufs[core].is_empty() {
-            if self.remaining[core] == 0 {
-                return None;
-            }
-            self.remaining[core] -= 1;
-            self.generate_request(core, arch);
+    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
+        if self.remaining[core] == 0 {
+            return None;
         }
-        self.bufs[core].pop()
+        self.remaining[core] -= 1;
+        Some(self.generate_request(core, arch))
     }
 }
 
@@ -492,7 +452,7 @@ pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, Str
             ));
         }
         let lo = version.saturating_sub(RACE_WINDOW);
-        let hi = version + RACE_WINDOW;
+        let hi = version.saturating_add(RACE_WINDOW);
         let consistent = (lo..=hi).any(|v| layout.payload_of(tenant, idx, v) == payload);
         if !consistent {
             return Err(format!(
@@ -507,7 +467,7 @@ pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbb_core::{PersistencyMode, StreamWorkload, System};
+    use bbb_core::{Batched, PersistencyMode, System};
     use bbb_sim::{AddressMap, SimConfig};
 
     fn small_layout(cfg: &SimConfig) -> KvLayout {
@@ -524,7 +484,6 @@ mod tests {
             per_core_requests: 64,
             seed: 0xB0B,
             instrument: false,
-            epochs: false,
         }
     }
 
@@ -645,14 +604,26 @@ mod tests {
     }
 
     #[test]
+    fn version_word_near_the_top_of_u64_is_rejected() {
+        // A tagged slot whose version word sits within the race window of
+        // `u64::MAX` gets a verdict: the window's upper end saturates.
+        let layout = KvLayout::new(0x1000, 100, 1, 10);
+        let mut store = ByteStore::new();
+        setup_per_slot(&layout, &mut store);
+        store.write_u64(layout.slot_addr(0, 3) + 8, u64::MAX - 3);
+        let err = check_kv_recovery(&NvmImage::from_store(store), &layout).unwrap_err();
+        assert!(err.starts_with("tenant 0 key 3:"), "{err}");
+    }
+
+    #[test]
     fn runs_and_recovers_under_bbb() {
         for mix in [KvMix::A, KvMix::B, KvMix::C] {
             let cfg = SimConfig::small_for_tests();
             let layout = small_layout(&cfg);
             let mut kv = KvWorkload::new(layout, spec(mix), cfg.cores);
             let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-            sys.prepare_stream(&mut kv);
-            let summary = sys.run_stream(&mut kv, u64::MAX);
+            sys.prepare(&mut kv);
+            let summary = sys.run(&mut kv, u64::MAX);
             assert!(summary.completed, "{mix:?}");
             assert!(summary.ops > 0);
             let img = sys.crash_now();
@@ -667,8 +638,8 @@ mod tests {
         let layout = small_layout(&cfg);
         let mut kv = KvWorkload::new(layout, spec(KvMix::C), cfg.cores);
         let mut sys = System::new(cfg, PersistencyMode::Eadr).unwrap();
-        sys.prepare_stream(&mut kv);
-        sys.run_stream(&mut kv, u64::MAX);
+        sys.prepare(&mut kv);
+        sys.run(&mut kv, u64::MAX);
         assert_eq!(sys.stats().get("cores.stores"), 0);
     }
 
@@ -679,8 +650,8 @@ mod tests {
         let run = || {
             let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
             let mut sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
-            sys.prepare_stream(&mut kv);
-            sys.run_stream(&mut kv, u64::MAX);
+            sys.prepare(&mut kv);
+            sys.run(&mut kv, u64::MAX);
             sys.stats()
         };
         assert_eq!(run(), run());
@@ -691,14 +662,15 @@ mod tests {
         let cfg = SimConfig::small_for_tests();
         let layout = small_layout(&cfg);
         let mut stream_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
-        let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
-        stream_sys.prepare_stream(&mut kv);
-        stream_sys.run_stream(&mut kv, u64::MAX);
+        let kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+        let mut stream = Batched::new(kv, cfg.cores);
+        stream_sys.prepare_stream(&mut stream);
+        stream_sys.run_stream(&mut stream, u64::MAX);
 
         let mut batch_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
-        let mut wrapped = StreamWorkload(KvWorkload::new(layout, spec(KvMix::A), cfg.cores));
-        batch_sys.prepare(&mut wrapped);
-        batch_sys.run(&mut wrapped, u64::MAX);
+        let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+        batch_sys.prepare(&mut kv);
+        batch_sys.run(&mut kv, u64::MAX);
 
         assert_eq!(stream_sys.stats(), batch_sys.stats());
     }
@@ -709,8 +681,8 @@ mod tests {
         let layout = small_layout(&cfg);
         let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
         let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-        sys.prepare_stream(&mut kv);
-        sys.run_stream(&mut kv, u64::MAX);
+        sys.prepare(&mut kv);
+        sys.run(&mut kv, u64::MAX);
         let inserted: u64 =
             kv.live.iter().sum::<u64>() - layout.initial_per_tenant * layout.tenants as u64;
         assert!(inserted > 0, "mix A must insert");

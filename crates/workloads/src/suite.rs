@@ -4,7 +4,7 @@
 //! [`make_workload`] so that every experiment uses identical layouts,
 //! seeds, and scaling knobs.
 
-use bbb_core::{OpStream, StreamWorkload, Workload};
+use bbb_core::{Batched, OpStream, Workload};
 use bbb_cpu::Op;
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{AddressMap, SimConfig};
@@ -96,12 +96,12 @@ fn array_geometry(cfg: &SimConfig, params: WorkloadParams) -> (u64, u64) {
     (AddressMap::new(cfg).persistent_base() + reserve, elements)
 }
 
-/// Builds a server-scale streaming workload, or `None` for the batch
-/// kinds. The streaming path (`System::run_stream`) pulls one op at a
-/// time: memory stays O(live keys), independent of the op budget.
+/// Builds a server-scale workload as the [`OpStream`] the run loop pulls
+/// ([`Batched`] over [`make_workload`]), or `None` for the other kinds.
+/// Memory stays O(live keys), independent of the op budget.
 ///
-/// `epochs` emits a persist barrier per request — the BEP discipline;
-/// batch kinds get the same via [`with_epoch_barriers`].
+/// `epochs` ends each request with a persist barrier — the BEP
+/// discipline, from [`with_epoch_barriers`] as for every kind.
 ///
 /// # Panics
 ///
@@ -113,43 +113,14 @@ pub fn make_stream(
     params: WorkloadParams,
     epochs: bool,
 ) -> Option<Box<dyn OpStream>> {
-    let mix = match kind {
-        WorkloadKind::KvA => KvMix::A,
-        WorkloadKind::KvB => KvMix::B,
-        WorkloadKind::KvC => KvMix::C,
-        WorkloadKind::Wal => {
-            let layout = wal_geometry(cfg, params);
-            return Some(Box::new(WalWorkload::new(
-                layout,
-                WalSpec {
-                    tenants: SERVER_TENANTS,
-                    ring_records: layout.ring_records,
-                    group: 8,
-                    per_core_appends: params.per_core_ops,
-                    zipf_s: SERVER_ZIPF_S,
-                    seed: params.seed,
-                    instrument: params.instrument,
-                    epochs,
-                },
-            )));
-        }
-        _ => return None,
-    };
-    let layout = kv_geometry(cfg, params);
-    Some(Box::new(KvWorkload::new(
-        layout,
-        KvSpec {
-            keys: params.initial,
-            tenants: SERVER_TENANTS,
-            zipf_s: SERVER_ZIPF_S,
-            mix,
-            per_core_requests: params.per_core_ops,
-            seed: params.seed,
-            instrument: params.instrument,
-            epochs,
-        },
-        cfg.cores,
-    )))
+    if !WorkloadKind::SERVER.contains(&kind) {
+        return None;
+    }
+    let mut w = make_workload(kind, cfg, params);
+    if epochs {
+        w = with_epoch_barriers(w);
+    }
+    Some(Box::new(Batched::new(w, cfg.cores)))
 }
 
 /// The workloads of the paper's Table IV.
@@ -182,8 +153,8 @@ pub enum WorkloadKind {
     /// committed artifacts stay stable).
     PstoreLog,
     /// Server-scale Zipfian KV service, YCSB mix A — 50% read / 40%
-    /// update / 10% insert (extension; see [`crate::kv`]). Stream-native;
-    /// in [`WorkloadKind::SERVER`], not in the paper sweeps.
+    /// update / 10% insert (extension; see [`crate::kv`]). In
+    /// [`WorkloadKind::SERVER`], not in the paper sweeps.
     KvA,
     /// Server-scale Zipfian KV service, YCSB mix B — 95% read / 4%
     /// update / 1% insert (extension).
@@ -221,7 +192,7 @@ impl WorkloadKind {
         WorkloadKind::Btree,
     ];
 
-    /// The server-scale streaming workloads (this repository's extension
+    /// The server-scale workloads (this repository's extension
     /// beyond Table IV). Kept separate from [`WorkloadKind::ALL`] and
     /// [`WorkloadKind::EXTENDED`] so the committed paper artifacts stay
     /// stable; the `kv`/`wal` benches sweep exactly these.
@@ -339,6 +310,18 @@ pub fn make_workload(
     let base = map.persistent_base();
     let cores = cfg.cores;
     let reserve = root_reserve(cfg);
+    let kv = |mix| -> Box<dyn Workload> {
+        let spec = KvSpec {
+            keys: params.initial,
+            tenants: SERVER_TENANTS,
+            zipf_s: SERVER_ZIPF_S,
+            mix,
+            per_core_requests: params.per_core_ops,
+            seed: params.seed,
+            instrument: params.instrument,
+        };
+        Box::new(KvWorkload::new(kv_geometry(cfg, params), spec, cores))
+    };
     match kind {
         WorkloadKind::Rtree => {
             let palloc = Palloc::new(&map, cores, reserve);
@@ -438,11 +421,23 @@ pub fn make_workload(
                 discipline,
             ))
         }
-        WorkloadKind::KvA | WorkloadKind::KvB | WorkloadKind::KvC | WorkloadKind::Wal => {
-            // Stream-native kinds ride the batch interface through the
-            // one-op adapter (identical committed op sequence).
-            let stream = make_stream(kind, cfg, params, false).expect("server kind");
-            Box::new(StreamWorkload(stream))
+        WorkloadKind::KvA => kv(KvMix::A),
+        WorkloadKind::KvB => kv(KvMix::B),
+        WorkloadKind::KvC => kv(KvMix::C),
+        WorkloadKind::Wal => {
+            let layout = wal_geometry(cfg, params);
+            Box::new(WalWorkload::new(
+                layout,
+                WalSpec {
+                    tenants: SERVER_TENANTS,
+                    ring_records: layout.ring_records,
+                    group: 8,
+                    per_core_appends: params.per_core_ops,
+                    zipf_s: SERVER_ZIPF_S,
+                    seed: params.seed,
+                    instrument: params.instrument,
+                },
+            ))
         }
     }
 }
@@ -726,6 +721,38 @@ mod tests {
             batch_sys.run(w.as_mut(), u64::MAX);
             batch_sys.drain_all_store_buffers();
             assert_eq!(stream_stats, batch_sys.stats(), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn server_epochs_come_from_the_one_epoch_wrapper() {
+        // The fenced workload run directly and the stream `make_stream`
+        // builds with `epochs` are one machine history, with one fence per
+        // request (WAL: plus one per non-empty final head flush).
+        let cfg = SimConfig::small_for_tests();
+        let params = WorkloadParams::smoke();
+        let cores = cfg.cores as u64;
+        for kind in [WorkloadKind::KvA, WorkloadKind::Wal] {
+            let mut w = with_epoch_barriers(make_workload(kind, &cfg, params));
+            let mut batch_sys = System::new(cfg.clone(), PersistencyMode::Bep).unwrap();
+            batch_sys.prepare(w.as_mut());
+            let batch = batch_sys.run(w.as_mut(), u64::MAX);
+
+            let mut stream = make_stream(kind, &cfg, params, true).expect("server kind");
+            let mut stream_sys = System::new(cfg.clone(), PersistencyMode::Bep).unwrap();
+            stream_sys.prepare_stream(stream.as_mut());
+            let streamed = stream_sys.run_stream(stream.as_mut(), u64::MAX);
+
+            assert_eq!(batch, streamed, "{}", kind.name());
+            let stats = batch_sys.stats();
+            assert_eq!(stats, stream_sys.stats(), "{}", kind.name());
+            let fences = stats.get("cores.fences");
+            let requests = params.per_core_ops * cores;
+            assert!(
+                (requests..=requests + cores).contains(&fences),
+                "{}: {fences} fences for {requests} requests",
+                kind.name()
+            );
         }
     }
 

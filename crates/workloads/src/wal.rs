@@ -15,15 +15,16 @@
 //! promise crash-safe under any suffix-loss persistency discipline.
 //!
 //! Tenant choice per append is Zipfian (hot logs), arrivals are bursty,
-//! and state is O(shards) — the workload is stream-native like
+//! and state is O(shards). Each append, and the end-of-stream head
+//! flush, is one [`Workload`] batch, as for
 //! [`KvWorkload`](crate::kv::KvWorkload).
 
-use bbb_core::OpStream;
+use bbb_core::Workload;
 use bbb_cpu::Op;
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{Addr, SplitMix64, ZipfSampler};
 
-use crate::kv::{mix64, OpBuf, BURST_MAX, GAP_BASE, GAP_SPREAD, MAX_REQUEST_OPS};
+use crate::kv::{mix64, open_request, push_store};
 
 /// High-bits tag folded into record header words (`"WALB"`-ish).
 pub const WAL_TAG: u64 = 0x5741_4C42_0000_0000;
@@ -136,22 +137,18 @@ pub struct WalSpec {
     pub seed: u64,
     /// Emit `clwb`+`sfence` after each persisting store (PMEM baseline).
     pub instrument: bool,
-    /// Emit an epoch fence after each append (BEP discipline).
-    pub epochs: bool,
 }
 
-/// The streaming WAL workload. See module docs.
+/// The server-scale WAL workload. See module docs.
 #[derive(Debug)]
 pub struct WalWorkload {
     layout: WalLayout,
     spec: WalSpec,
     zipf: ZipfSampler,
-    // Per-core streaming state.
+    // Per-core generation state.
     rngs: Vec<SplitMix64>,
     remaining: Vec<u64>,
     burst_left: Vec<u64>,
-    finished: Vec<bool>,
-    bufs: Vec<OpBuf>,
     // Per-shard state (a shard is written only by its owning core).
     seq: Vec<u64>,
     tail: Vec<u64>,
@@ -164,8 +161,7 @@ impl WalWorkload {
     /// # Panics
     ///
     /// Panics if the ring cannot hold two truncation windows of `group`
-    /// appends, or if a final group-commit flush could overflow the op
-    /// buffer.
+    /// appends.
     #[must_use]
     pub fn new(layout: WalLayout, spec: WalSpec) -> Self {
         assert_eq!(layout.tenants, spec.tenants, "layout/spec tenant mismatch");
@@ -174,12 +170,6 @@ impl WalWorkload {
             layout.ring_records / 2 > spec.group,
             "ring too small for group commit + truncation"
         );
-        // The end-of-stream flush publishes every tenant's head in one
-        // request: tenants stores, ×3 when instrumented, + epoch fence.
-        assert!(
-            spec.tenants * 3 < MAX_REQUEST_OPS,
-            "too many tenants for the final flush request"
-        );
         let mut master = SplitMix64::new(spec.seed);
         let rngs = (0..layout.cores).map(|_| master.split()).collect();
         Self {
@@ -187,8 +177,6 @@ impl WalWorkload {
             rngs,
             remaining: vec![spec.per_core_appends; layout.cores],
             burst_left: vec![0; layout.cores],
-            finished: vec![false; layout.cores],
-            bufs: vec![OpBuf::new(); layout.cores],
             seq: vec![0; layout.shards()],
             tail: vec![0; layout.shards()],
             pending: vec![0; layout.shards()],
@@ -203,22 +191,10 @@ impl WalWorkload {
         self.layout
     }
 
-    fn push_store(&mut self, core: usize, addr: Addr, value: u64) {
-        self.bufs[core].push(Op::store_u64(addr, value));
-        if self.spec.instrument {
-            self.bufs[core].push(Op::Clwb { addr });
-            self.bufs[core].push(Op::Fence);
-        }
-    }
-
-    /// Expands one append (tenant chosen Zipfian) into the core's buffer.
-    fn generate_append(&mut self, core: usize) {
-        if self.burst_left[core] == 0 {
-            self.burst_left[core] = 1 + self.rngs[core].next_below(BURST_MAX);
-            let gap = GAP_BASE + self.rngs[core].next_below(GAP_SPREAD) as u32;
-            self.bufs[core].push(Op::Compute { cycles: gap });
-        }
-        self.burst_left[core] -= 1;
+    /// The ops of one append by `core` (tenant chosen Zipfian).
+    fn generate_append(&mut self, core: usize) -> Vec<Op> {
+        let mut ops = open_request(&mut self.rngs[core], &mut self.burst_left[core]);
+        let instrument = self.spec.instrument;
 
         let tenant = self.zipf.sample(&mut self.rngs[core]) as usize;
         let shard = self.layout.shard(core, tenant);
@@ -231,50 +207,45 @@ impl WalWorkload {
         if seq - self.tail[shard] == self.layout.ring_records {
             let new_tail = seq - self.layout.ring_records / 2;
             self.tail[shard] = new_tail;
-            self.push_store(core, header + 8, new_tail);
+            push_store(&mut ops, instrument, header + 8, new_tail);
         }
 
         // Record body first, self-identifying header word last.
         let rec = self.layout.record_addr(shard, seq);
         for i in 0..REC_PAYLOAD_WORDS {
-            self.push_store(
-                core,
-                rec + 8 + i * 8,
-                self.layout.record_payload(shard, seq, i),
-            );
+            let word = self.layout.record_payload(shard, seq, i);
+            push_store(&mut ops, instrument, rec + 8 + i * 8, word);
         }
-        self.push_store(core, rec, self.layout.record_header(shard, seq));
+        let word = self.layout.record_header(shard, seq);
+        push_store(&mut ops, instrument, rec, word);
         self.seq[shard] = seq + 1;
         self.pending[shard] += 1;
 
         // Group commit: publish the head every `group` appends.
         if self.pending[shard] >= self.spec.group {
             self.pending[shard] = 0;
-            self.push_store(core, header, seq + 1);
+            push_store(&mut ops, instrument, header, seq + 1);
         }
-        if self.spec.epochs {
-            self.bufs[core].push(Op::Fence);
-        }
+        ops
     }
 
-    /// End-of-stream flush: publish any unpublished heads for this core.
-    fn generate_final_flush(&mut self, core: usize) {
+    /// End-of-stream flush: the stores publishing `core`'s unpublished
+    /// heads, none when every head is published.
+    fn generate_final_flush(&mut self, core: usize) -> Vec<Op> {
+        let mut ops = Vec::new();
         for tenant in 0..self.layout.tenants {
             let shard = self.layout.shard(core, tenant);
             if self.pending[shard] > 0 {
                 self.pending[shard] = 0;
                 let header = self.layout.header_addr(shard);
-                let head = self.seq[shard];
-                self.push_store(core, header, head);
+                push_store(&mut ops, self.spec.instrument, header, self.seq[shard]);
             }
         }
-        if self.spec.epochs && !self.bufs[core].is_empty() {
-            self.bufs[core].push(Op::Fence);
-        }
+        ops
     }
 }
 
-impl OpStream for WalWorkload {
+impl Workload for WalWorkload {
     fn name(&self) -> &str {
         "wal"
     }
@@ -289,17 +260,15 @@ impl OpStream for WalWorkload {
         }
     }
 
-    fn next_op(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Op> {
-        if self.bufs[core].is_empty() {
-            if self.remaining[core] > 0 {
-                self.remaining[core] -= 1;
-                self.generate_append(core);
-            } else if !self.finished[core] {
-                self.finished[core] = true;
-                self.generate_final_flush(core);
-            }
+    /// Each append, then the final flush unless it is empty. The flush
+    /// leaves every head published, so a later call finds it empty too.
+    fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+        if self.remaining[core] > 0 {
+            self.remaining[core] -= 1;
+            return Some(self.generate_append(core));
         }
-        self.bufs[core].pop()
+        let flush = self.generate_final_flush(core);
+        (!flush.is_empty()).then_some(flush)
     }
 }
 
@@ -366,7 +335,6 @@ mod tests {
             zipf_s: 0.99,
             seed: 0xB0B,
             instrument: false,
-            epochs: false,
         };
         (layout, spec)
     }
@@ -392,8 +360,8 @@ mod tests {
         let (layout, spec) = small_setup(&cfg);
         let mut wal = WalWorkload::new(layout, spec);
         let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-        sys.prepare_stream(&mut wal);
-        let summary = sys.run_stream(&mut wal, u64::MAX);
+        sys.prepare(&mut wal);
+        let summary = sys.run(&mut wal, u64::MAX);
         assert!(summary.completed);
         // 200 appends over rings of 32 must have truncated at least once.
         assert!(wal.tail.iter().any(|&t| t > 0), "no shard truncated");
@@ -412,10 +380,10 @@ mod tests {
         let (layout, spec) = small_setup(&cfg);
         let mut wal = WalWorkload::new(layout, spec);
         let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-        sys.prepare_stream(&mut wal);
+        sys.prepare(&mut wal);
         // Stop mid-run: published heads may lag seq by at most `group`
         // (plus whatever sits uncommitted in store buffers).
-        sys.run_stream(&mut wal, 300);
+        sys.run(&mut wal, 300);
         let img = sys.crash_now();
         let n = check_wal_recovery(&img, &layout).expect("mid-run image consistent");
         let published: u64 = (0..layout.shards())
@@ -437,8 +405,8 @@ mod tests {
         let run = || {
             let mut wal = WalWorkload::new(layout, spec);
             let mut sys = System::new(cfg.clone(), PersistencyMode::BbbProcessorSide).unwrap();
-            sys.prepare_stream(&mut wal);
-            sys.run_stream(&mut wal, u64::MAX);
+            sys.prepare(&mut wal);
+            sys.run(&mut wal, u64::MAX);
             sys.stats()
         };
         assert_eq!(run(), run());
@@ -452,8 +420,8 @@ mod tests {
         spec.per_core_appends = 60;
         let mut wal = WalWorkload::new(layout, spec);
         let mut sys = System::new(cfg, PersistencyMode::Pmem).unwrap();
-        sys.prepare_stream(&mut wal);
-        sys.run_stream(&mut wal, u64::MAX);
+        sys.prepare(&mut wal);
+        sys.run(&mut wal, u64::MAX);
         sys.drain_all_store_buffers();
         let img = sys.crash_now();
         check_wal_recovery(&img, &layout).expect("instrumented pmem log consistent");

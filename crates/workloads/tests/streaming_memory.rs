@@ -1,7 +1,8 @@
 //! Proves the streaming claim: op generation is O(live keys) memory,
 //! *not* O(ops). A counting global allocator measures live heap bytes
-//! while a million-key KV stream emits ten million ops — the generation
-//! phase must not allocate in proportion to the op count.
+//! while a million-key KV workload, pulled through the run loop's
+//! `Batched` feed, emits ten million ops — the generation phase must not
+//! allocate in proportion to the op count.
 //!
 //! (An integration test so the counting allocator — which needs `unsafe
 //! impl GlobalAlloc` — stays outside the `#![forbid(unsafe_code)]` lib.)
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bbb_core::OpStream;
+use bbb_core::{Batched, OpStream};
 use bbb_mem::ByteStore;
 use bbb_workloads::{KvLayout, KvMix, KvSpec, KvWorkload};
 
@@ -59,12 +60,11 @@ fn million_key_stream_allocates_o_keys_not_o_ops() {
         per_core_requests: u64::MAX / 16, // never runs dry in this test
         seed: 0xB0B,
         instrument: false,
-        epochs: false,
     };
 
     let mut arch = ByteStore::new();
     let baseline = live_bytes();
-    let mut kv = KvWorkload::new(layout, spec, CORES);
+    let mut kv = Batched::new(KvWorkload::new(layout, spec, CORES), CORES);
     kv.setup(&mut arch);
     let after_setup = live_bytes();
 

@@ -2,9 +2,10 @@
 //! paper workloads gives a verdict — no panic, no runaway walk — and the
 //! incremental oracles agree with the full walk.
 //!
-//! For the crit-bit tree, R-tree, B-tree, hash map, an array workload and
-//! the linked list, a seeded SplitMix64 sample of 256 flips lands on the
-//! words of the structure (its nodes and root slots: every non-zero word
+//! For the crit-bit tree, R-tree, B-tree, hash map, an array workload, the
+//! KV slot table, the WAL shards, the pstore ring and the linked list, a
+//! seeded SplitMix64 sample of 256 flips lands on the words of the
+//! structure (its nodes, slots, records and headers: every non-zero word
 //! of the persistent heap). The tree and hash-map oracles check each
 //! flipped image after a memo was built on the valid one, and again
 //! fresh; the reports must be identical.
@@ -110,6 +111,28 @@ fn flipped_arrays_get_a_verdict() {
         .filter(|image| !oracle.check(image).ok())
         .count();
     assert!(failed > 0, "a flipped tag bit is detected");
+}
+
+#[test]
+fn flipped_kv_wal_and_pstore_images_get_a_verdict() {
+    let (cfg, params) = small();
+    for (i, kind) in [
+        WorkloadKind::KvA,
+        WorkloadKind::Wal,
+        WorkloadKind::PstoreLog,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let valid = valid_image(kind);
+        let mut oracle = RecoveryOracle::new(kind, &cfg, params);
+        assert!(oracle.check(&valid).ok(), "{}", kind.name());
+        let failed = flips(&valid, 100 + i as u64)
+            .iter()
+            .filter(|image| !oracle.check(image).ok())
+            .count();
+        assert!(failed > 0, "{}: no flip detected", kind.name());
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! and runs the identical simulated history, and a store that arch has
 //! committed reaches media only when it is written back.
 
-use bbb::core::{Op, PersistencyMode, StreamWorkload, System};
+use bbb::core::{Batched, Op, PersistencyMode, System};
 use bbb::mem::{ByteStore, NvmImage};
 use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::{KvLayout, KvMix, KvSpec, KvWorkload};
@@ -25,7 +25,6 @@ fn spec(mix: KvMix) -> KvSpec {
         per_core_requests: 64,
         seed: 0x5EED,
         instrument: false,
-        epochs: false,
     }
 }
 
@@ -50,7 +49,7 @@ fn prepared_kv_media_equals_per_slot_image() {
     let layout = layout(&cfg);
     let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
     let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-    sys.prepare_stream(&mut kv);
+    sys.prepare(&mut kv);
 
     let want = per_slot_image(&layout);
     assert!(sys.arch_mem() == &want, "arch memory differs");
@@ -64,12 +63,13 @@ fn kv_a_stream_matches_batch_adapter() {
     let cfg = SimConfig::small_for_tests();
     let layout = layout(&cfg);
 
-    let mut stream = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+    let kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
+    let mut stream = Batched::new(kv, cfg.cores);
     let mut stream_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
     stream_sys.prepare_stream(&mut stream);
     stream_sys.run_stream(&mut stream, u64::MAX);
 
-    let mut batch = StreamWorkload(KvWorkload::new(layout, spec(KvMix::A), cfg.cores));
+    let mut batch = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
     let mut batch_sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
     batch_sys.prepare(&mut batch);
     batch_sys.run(&mut batch, u64::MAX);
@@ -91,7 +91,7 @@ fn committed_store_on_a_shared_page_stays_out_of_media() {
     let layout = layout(&cfg);
     let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
     let mut sys = System::new(cfg, PersistencyMode::Pmem).unwrap();
-    sys.prepare_stream(&mut kv);
+    sys.prepare(&mut kv);
 
     let (addr, old) = preloaded_payload(&layout);
     assert_eq!(sys.crash_image(false).read_u64(addr), old);
@@ -111,8 +111,8 @@ fn kv_a_run_makes_no_media_copy_on_write() {
     for mode in PersistencyMode::ALL {
         let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
         let mut sys = System::new(cfg.clone(), mode).unwrap();
-        sys.prepare_stream(&mut kv);
-        sys.run_stream(&mut kv, u64::MAX);
+        sys.prepare(&mut kv);
+        sys.run(&mut kv, u64::MAX);
         sys.drain_all_store_buffers();
         let stats = sys.stats();
         assert!(
