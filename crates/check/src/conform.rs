@@ -3,8 +3,10 @@
 //!
 //! For every generated litmus shape and every [`PersistencyMode`]:
 //!
-//! 1. [`evaluate`] computes the model's allowed/forbidden outcome
-//!    partition (with a witness per forbidden outcome).
+//! 1. The model computes the allowed/forbidden outcome partition (with a
+//!    witness per forbidden outcome): the shape's interleavings are
+//!    enumerated once ([`Executions`]) and judged once per
+//!    [`PersistAxiom`], which the modes sharing it reuse.
 //! 2. The shape is compiled onto the simulator under several
 //!    interleavings and crash-swept two ways by the crashfuzz engine,
 //!    which images a point only when its crash image changed since the
@@ -26,7 +28,7 @@ use bbb_runner::Runner;
 use bbb_sim::{AddressMap, SimConfig};
 
 use crate::enumerate::interleavings;
-use crate::model::{evaluate, loc_name, Outcome, Prog};
+use crate::model::{loc_name, Executions, Outcome, PersistAxiom, Prog};
 
 /// Byte offsets (from the persistent heap base) of generated-shape
 /// locations: distinct cache blocks in distinct L1/L2 sets, so capacity
@@ -129,8 +131,8 @@ fn project(img: &NvmImage, base: u64, locs: usize) -> Outcome {
         .collect()
 }
 
-/// Runs the full differential for one shape: model evaluation plus both
-/// sim sweeps, per mode.
+/// Runs the full differential for one shape: model evaluation per
+/// persist axiom, plus both sim sweeps per mode.
 ///
 /// # Panics
 ///
@@ -148,11 +150,13 @@ pub fn run_shape_conform(prog: &Prog) -> ShapeConform {
     let picked: Vec<&Vec<usize>> = (0..picked)
         .map(|i| &all_schedules[i * all_schedules.len() / picked])
         .collect();
+    let model = Executions::new(prog, &all_schedules);
+    let by_axiom = PersistAxiom::ALL.map(|axiom| model.verdicts(axiom));
 
     let per_mode = PersistencyMode::ALL
         .into_iter()
         .map(|mode| {
-            let verdicts = evaluate(prog, mode);
+            let verdicts = &by_axiom[PersistAxiom::of(mode) as usize];
             let mut observed: BTreeMap<Outcome, String> = BTreeMap::new();
             let mut crash_points = 0usize;
 
@@ -253,8 +257,8 @@ pub fn run_suite(progs: &[Prog]) -> Vec<ShapeConform> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{generate, GenBounds};
-    use crate::model::Inst;
+    use crate::enumerate::{generate, generate_suite, GenBounds};
+    use crate::model::{evaluate, Inst};
 
     #[test]
     fn small_generated_suite_has_zero_violations() {
@@ -280,6 +284,33 @@ mod tests {
                 );
                 assert!(m.observed >= 1, "at least the empty image is observed");
                 assert!(m.covered >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn conform_cells_carry_each_modes_own_verdicts() {
+        // The driver shares one enumeration and one evaluation per axiom;
+        // every cell's model columns must be what `evaluate` gives its mode.
+        let suite = generate_suite(&GenBounds::smoke_suite());
+        for prog in &suite {
+            let r = run_shape_conform(prog);
+            for m in &r.per_mode {
+                let v = evaluate(prog, m.mode);
+                let universal = v.forbidden.values().filter(|w| w.universal).count();
+                assert_eq!(
+                    (m.executions, m.allowed, m.forbidden, m.universal),
+                    (v.executions, v.allowed.len(), v.forbidden.len(), universal),
+                    "{} under {:?}",
+                    r.shape,
+                    m.mode
+                );
+                let sample = v
+                    .forbidden
+                    .iter()
+                    .next()
+                    .map(|(o, w)| format!("{} forbidden — {w}", outcome_str(o)));
+                assert_eq!(m.sample_witness, sample, "{} under {:?}", r.shape, m.mode);
             }
         }
     }

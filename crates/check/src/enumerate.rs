@@ -279,13 +279,19 @@ pub fn canonicalize(prog: &Prog) -> Prog {
         .expect("at least the identity permutation")
 }
 
-/// Raw (pre-dedup) shape enumeration: every combination of live
-/// per-core sequences that passes the program-level filters —
+/// Raw (pre-dedup) shape enumeration: one combination of live per-core
+/// sequences per multiset that passes the program-level filters —
 ///
 /// * at least two stores, at most [`MAX_GEN_STORES`];
 /// * every load reads a location some *other* core stores
 ///   (message-passing flavor; a load of a never-stored or
 ///   only-self-stored location cannot observe anything).
+///
+/// Core order is a symmetry: [`canonicalize`] takes the least relabeling
+/// over every core permutation, and neither filter depends on which core
+/// runs which sequence. So only non-decreasing picks of sequence indices
+/// are visited; the other orderings of a pick canonicalize to the same
+/// shape.
 ///
 /// Cross-core **write conflicts** (one location stored by several cores)
 /// are deliberately *included*: the simulator's crash paths resolve them
@@ -299,49 +305,41 @@ pub fn enumerate_raw(bounds: &GenBounds) -> Vec<Prog> {
     let mut out = Vec::new();
     let mut pick = vec![0usize; bounds.cores];
     loop {
-        let cores: Vec<Vec<Inst>> = pick.iter().map(|&i| seqs[i].clone()).collect();
+        let cores: Vec<&[Inst]> = pick.iter().map(|&i| seqs[i].as_slice()).collect();
         let stores = cores
             .iter()
+            .copied()
             .flatten()
             .filter(|i| matches!(i, Inst::St { .. }))
             .count();
-        let store_cores = |loc: Loc| {
-            cores
-                .iter()
-                .enumerate()
-                .filter(|(_, insts)| {
-                    insts
+        let stored_by_other = |core: usize, loc: Loc| {
+            cores.iter().enumerate().any(|(c, insts)| {
+                c != core
+                    && insts
                         .iter()
                         .any(|j| matches!(*j, Inst::St { loc: l, .. } if l == loc))
-                })
-                .map(|(c, _)| c)
-                .collect::<Vec<_>>()
+            })
         };
         let loads_ok = cores.iter().enumerate().all(|(c, insts)| {
             insts.iter().all(|i| match *i {
-                Inst::Ld { loc } => store_cores(loc).iter().any(|&c2| c2 != c),
+                Inst::Ld { loc } => stored_by_other(c, loc),
                 _ => true,
             })
         });
         if (2..=MAX_GEN_STORES).contains(&stores) && loads_ok {
-            let mut p = Prog { cores };
+            let mut p = Prog {
+                cores: cores.iter().map(|c| c.to_vec()).collect(),
+            };
             assign_values(&mut p);
             out.push(p);
         }
-        // Odometer over the sequence indices.
-        let mut carry = true;
-        for digit in pick.iter_mut().rev() {
-            if carry {
-                *digit += 1;
-                carry = *digit == seqs.len();
-                if carry {
-                    *digit = 0;
-                }
-            }
-        }
-        if carry {
+        // Next non-decreasing pick: bump the rightmost digit that can
+        // grow and reset every digit after it to the same index.
+        let Some(d) = (0..pick.len()).rev().find(|&d| pick[d] + 1 < seqs.len()) else {
             break;
-        }
+        };
+        let next = pick[d] + 1;
+        pick[d..].fill(next);
     }
     out
 }
@@ -440,6 +438,66 @@ mod tests {
             raw.swap(i, j);
         }
         assert_eq!(dedup_and_cap(&raw, bounds.max_shapes), reference);
+    }
+
+    /// Brute-force reference: every *ordered* tuple of live per-core
+    /// sequences, core permutations included, through the two filters
+    /// written out directly.
+    fn ordered_tuple_raw(bounds: &GenBounds) -> Vec<Prog> {
+        let seqs = core_sequences(bounds.locs, bounds.max_insts);
+        let mut out = Vec::new();
+        let mut pick = vec![0usize; bounds.cores];
+        'tuples: loop {
+            let mut p = Prog {
+                cores: pick.iter().map(|&i| seqs[i].clone()).collect(),
+            };
+            let stores = p.stores();
+            let loads_ok = p.cores.iter().enumerate().all(|(c, insts)| {
+                insts.iter().all(|i| match *i {
+                    Inst::Ld { loc } => stores.iter().any(|s| s.loc == loc && s.core != c),
+                    _ => true,
+                })
+            });
+            if (2..=MAX_GEN_STORES).contains(&stores.len()) && loads_ok {
+                assign_values(&mut p);
+                out.push(p);
+            }
+            for digit in pick.iter_mut().rev() {
+                *digit += 1;
+                if *digit < seqs.len() {
+                    continue 'tuples;
+                }
+                *digit = 0;
+            }
+            return out;
+        }
+    }
+
+    #[test]
+    fn skipping_core_permutations_keeps_the_ordered_tuple_suite() {
+        for (cores, locs, max_insts) in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)] {
+            let bounds = |max_shapes| GenBounds {
+                cores,
+                locs,
+                max_insts,
+                max_shapes,
+            };
+            let reference = ordered_tuple_raw(&bounds(usize::MAX));
+            let raw = enumerate_raw(&bounds(usize::MAX));
+            assert!(
+                raw.len() < reference.len(),
+                "{cores} cores: {} multiset picks of {} ordered tuples",
+                raw.len(),
+                reference.len()
+            );
+            for max_shapes in [usize::MAX, 96, 7] {
+                assert_eq!(
+                    generate(&bounds(max_shapes)),
+                    dedup_and_cap(&reference, max_shapes),
+                    "{cores} cores, {locs} locations, {max_insts} instructions, cap {max_shapes}"
+                );
+            }
+        }
     }
 
     #[test]

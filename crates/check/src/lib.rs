@@ -41,4 +41,6 @@ pub use checker::{CheckReport, PersistOrderChecker, Witness, MAX_WITNESSES};
 pub use clock::VectorClock;
 pub use conform::{run_shape_conform, run_suite, ModeConform, ShapeConform, Violation};
 pub use enumerate::{generate, generate_suite, GenBounds};
-pub use model::{evaluate, Inst, ModelVerdicts, ModelWitness, Outcome, Prog, StoreRef};
+pub use model::{
+    evaluate, Executions, Inst, ModelVerdicts, ModelWitness, Outcome, PersistAxiom, Prog, StoreRef,
+};

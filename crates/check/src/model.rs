@@ -8,9 +8,10 @@
 //!    execution — all merges of the per-core program orders (the
 //!    simulator commits architectural state in `step_op` call order, so
 //!    schedule order *is* the TSO store order; see DESIGN.md §9 for why
-//!    this is the sound direction).
+//!    this is the sound direction). [`Executions`] does this once per
+//!    shape; nothing in it depends on the mode.
 //! 2. Per execution, the mode's axioms induce a *persist-order* relation
-//!    over the stores (edges built by [`evaluate`]):
+//!    over the stores, evaluated once per [`PersistAxiom`]:
 //!    * **coherence** (all modes): τ-consecutive stores to the same
 //!      location persist in order — a single NVMM line never travels
 //!      backwards.
@@ -306,8 +307,192 @@ struct Execution {
     reach: Vec<u32>,
 }
 
+/// The persist axiom a mode adds on top of coherence (DESIGN.md §9.2).
+/// Modes that share an axiom share their verdicts: eADR and both BBB
+/// organizations are one pov-pop evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PersistAxiom {
+    /// eADR, BBB-mem, BBB-proc: every τ-consecutive store pair persists
+    /// in order.
+    PovPop,
+    /// Strict PMEM: a `clwb` then same-core `sfence` orders the flushed
+    /// store before everything after the fence.
+    FlushFence,
+    /// BEP: a fence orders every same-core prior store before everything
+    /// after it.
+    EpochBarrier,
+}
+
+impl PersistAxiom {
+    /// Every axiom, in declaration order (so `axiom as usize` indexes
+    /// arrays built over it).
+    pub const ALL: [PersistAxiom; 3] = [Self::PovPop, Self::FlushFence, Self::EpochBarrier];
+
+    /// The axiom `mode` persists under.
+    #[must_use]
+    pub const fn of(mode: PersistencyMode) -> Self {
+        match mode {
+            PersistencyMode::Eadr
+            | PersistencyMode::BbbMemorySide
+            | PersistencyMode::BbbProcessorSide => Self::PovPop,
+            PersistencyMode::Pmem => Self::FlushFence,
+            PersistencyMode::Bep => Self::EpochBarrier,
+        }
+    }
+}
+
+/// A shape's model-relevant executions, enumerated once: its
+/// interleavings deduplicated by their store/flush/fence projection
+/// (Ld/Delay placement cannot change persist edges), with the outcome
+/// universe they are judged against. None of it depends on the mode, so
+/// every [`PersistAxiom`] is evaluated over the same set.
+#[derive(Debug)]
+pub struct Executions<'p> {
+    prog: &'p Prog,
+    stores: Vec<StoreRef>,
+    /// Distinct projections in sorted order; the first is the canonical
+    /// execution that non-universal witnesses come from.
+    projections: Vec<Vec<Event>>,
+    /// Every outcome: per location, 0 or any stored value.
+    universe: Vec<Outcome>,
+}
+
+impl<'p> Executions<'p> {
+    /// Projects `schedules`, which must be every interleaving of `prog`
+    /// ([`interleavings`] of [`Prog::lens`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has more than [`MAX_STORES`] stores or
+    /// stores the same value twice to one location (outcomes would be
+    /// ambiguous).
+    #[must_use]
+    pub fn new(prog: &'p Prog, schedules: &[Vec<usize>]) -> Self {
+        let stores = prog.stores();
+        assert!(
+            stores.len() <= MAX_STORES,
+            "too many stores for cut enumeration"
+        );
+        // Distinct values per location keep image -> cut projection unambiguous.
+        let mut seen = BTreeSet::new();
+        for s in &stores {
+            assert!(
+                seen.insert((s.loc, s.val)),
+                "duplicate value {} at location {}",
+                s.val,
+                s.loc
+            );
+        }
+
+        let mut projections: BTreeSet<Vec<Event>> = BTreeSet::new();
+        for schedule in schedules {
+            let mut next = vec![0usize; prog.cores.len()];
+            let mut proj = Vec::new();
+            for &core in schedule {
+                let po = next[core];
+                next[core] += 1;
+                let inst = prog.cores[core][po];
+                match inst {
+                    Inst::St { .. } | Inst::Fl { .. } | Inst::Fence => proj.push((core, po, inst)),
+                    Inst::Ld { .. } | Inst::Delay { .. } => {}
+                }
+            }
+            projections.insert(proj);
+        }
+
+        let mut per_loc: Vec<Vec<u64>> = vec![vec![0]; prog.num_locs()];
+        for s in &stores {
+            per_loc[s.loc].push(s.val);
+        }
+        let mut universe = vec![Vec::new()];
+        for vals in &per_loc {
+            let mut next_universe = Vec::with_capacity(universe.len() * vals.len());
+            for prefix in &universe {
+                for &v in vals {
+                    let mut o: Outcome = prefix.clone();
+                    o.push(v);
+                    next_universe.push(o);
+                }
+            }
+            universe = next_universe;
+        }
+
+        Self {
+            prog,
+            stores,
+            projections: projections.into_iter().collect(),
+            universe,
+        }
+    }
+
+    /// Evaluates `axiom` (plus coherence) over every execution, returning
+    /// the allowed/forbidden outcome partition with witnesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics, defensively, if a forbidden outcome admits no witness
+    /// (impossible by construction; see DESIGN.md §9).
+    #[must_use]
+    pub fn verdicts(&self, axiom: PersistAxiom) -> ModelVerdicts {
+        let stores = &self.stores;
+        let n = stores.len();
+        let locs = self.prog.num_locs();
+        let executions: Vec<Execution> = self
+            .projections
+            .iter()
+            .map(|proj| build_execution(proj, stores, axiom))
+            .collect();
+
+        // Allowed outcomes: downward-closed cuts of each execution.
+        let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
+        for exec in &executions {
+            'mask: for mask in 0u32..(1 << n) {
+                for &(a, b, _) in &exec.edges {
+                    if mask & (1 << b) != 0 && mask & (1 << a) == 0 {
+                        continue 'mask;
+                    }
+                }
+                allowed.insert(outcome_of(mask, stores, &exec.tau_pos, locs));
+            }
+        }
+
+        // Reachability common to all executions, for universal witnesses.
+        let mut common_reach = vec![u32::MAX; n];
+        for exec in &executions {
+            for (c, r) in common_reach.iter_mut().zip(&exec.reach) {
+                *c &= *r;
+            }
+        }
+
+        let mut forbidden = BTreeMap::new();
+        for outcome in &self.universe {
+            if allowed.contains(outcome) {
+                continue;
+            }
+            let witness =
+                find_witness(outcome, stores, &executions, &common_reach).unwrap_or_else(|| {
+                    panic!(
+                        "forbidden outcome {:?} of {} has no witness",
+                        outcome,
+                        self.prog.display()
+                    )
+                });
+            forbidden.insert(outcome.clone(), witness);
+        }
+
+        ModelVerdicts {
+            locs,
+            executions: executions.len(),
+            allowed,
+            forbidden,
+        }
+    }
+}
+
 /// Evaluates the mode's axioms over every execution of `prog`, returning
-/// the allowed/forbidden outcome partition with witnesses.
+/// the allowed/forbidden outcome partition with witnesses. A caller that
+/// needs several modes of one shape shares one [`Executions`] and one
+/// evaluation per [`PersistAxiom`] instead.
 ///
 /// # Panics
 ///
@@ -317,110 +502,12 @@ struct Execution {
 /// construction; see DESIGN.md §9).
 #[must_use]
 pub fn evaluate(prog: &Prog, mode: PersistencyMode) -> ModelVerdicts {
-    let stores = prog.stores();
-    let n = stores.len();
-    assert!(n <= MAX_STORES, "too many stores for cut enumeration");
-    let locs = prog.num_locs();
-    // Distinct values per location keep image -> cut projection unambiguous.
-    let mut seen = BTreeSet::new();
-    for s in &stores {
-        assert!(
-            seen.insert((s.loc, s.val)),
-            "duplicate value {} at location {}",
-            s.val,
-            s.loc
-        );
-    }
-
-    // Enumerate executions, deduplicated by their model-relevant event
-    // projection (Ld/Delay placement cannot change persist edges).
-    let mut projections: BTreeSet<Vec<Event>> = BTreeSet::new();
-    for schedule in interleavings(&prog.lens()) {
-        let mut next = vec![0usize; prog.cores.len()];
-        let mut proj = Vec::new();
-        for core in schedule {
-            let po = next[core];
-            next[core] += 1;
-            let inst = prog.cores[core][po];
-            match inst {
-                Inst::St { .. } | Inst::Fl { .. } | Inst::Fence => proj.push((core, po, inst)),
-                Inst::Ld { .. } | Inst::Delay { .. } => {}
-            }
-        }
-        projections.insert(proj);
-    }
-
-    let executions: Vec<Execution> = projections
-        .iter()
-        .map(|proj| build_execution(proj, &stores, mode))
-        .collect();
-
-    // Allowed outcomes: downward-closed cuts of each execution.
-    let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
-    for exec in &executions {
-        'mask: for mask in 0u32..(1 << n) {
-            for &(a, b, _) in &exec.edges {
-                if mask & (1 << b) != 0 && mask & (1 << a) == 0 {
-                    continue 'mask;
-                }
-            }
-            allowed.insert(outcome_of(mask, &stores, &exec.tau_pos, locs));
-        }
-    }
-
-    // Outcome universe: per location, 0 or any stored value.
-    let mut per_loc: Vec<Vec<u64>> = vec![vec![0]; locs];
-    for s in &stores {
-        per_loc[s.loc].push(s.val);
-    }
-    let mut universe = vec![Vec::new()];
-    for vals in &per_loc {
-        let mut next_universe = Vec::with_capacity(universe.len() * vals.len());
-        for prefix in &universe {
-            for &v in vals {
-                let mut o = prefix.clone();
-                o.push(v);
-                next_universe.push(o);
-            }
-        }
-        universe = next_universe;
-    }
-
-    // Reachability common to all executions, for universal witnesses.
-    let mut common_reach = vec![u32::MAX; n];
-    for exec in &executions {
-        for (c, r) in common_reach.iter_mut().zip(&exec.reach) {
-            *c &= *r;
-        }
-    }
-
-    let mut forbidden = BTreeMap::new();
-    for outcome in universe {
-        if allowed.contains(&outcome) {
-            continue;
-        }
-        let witness =
-            find_witness(&outcome, &stores, &executions, &common_reach).unwrap_or_else(|| {
-                panic!(
-                    "forbidden outcome {:?} of {} has no witness",
-                    outcome,
-                    prog.display()
-                )
-            });
-        forbidden.insert(outcome, witness);
-    }
-
-    ModelVerdicts {
-        locs,
-        executions: executions.len(),
-        allowed,
-        forbidden,
-    }
+    Executions::new(prog, &interleavings(&prog.lens())).verdicts(PersistAxiom::of(mode))
 }
 
 /// Builds one execution's persist-order edges from its model-relevant
 /// event projection.
-fn build_execution(proj: &[Event], stores: &[StoreRef], mode: PersistencyMode) -> Execution {
+fn build_execution(proj: &[Event], stores: &[StoreRef], axiom: PersistAxiom) -> Execution {
     let n = stores.len();
     let store_idx = |core: usize, po: usize| {
         stores
@@ -448,16 +535,14 @@ fn build_execution(proj: &[Event], stores: &[StoreRef], mode: PersistencyMode) -
         }
         last_to.insert(stores[i].loc, i);
     }
-    match mode {
-        PersistencyMode::Eadr
-        | PersistencyMode::BbbMemorySide
-        | PersistencyMode::BbbProcessorSide => {
+    match axiom {
+        PersistAxiom::PovPop => {
             // pov-pop: the persist order is the visibility order.
             for pair in tau_stores.windows(2) {
                 edges.push((pair[0], pair[1], "pov-pop"));
             }
         }
-        PersistencyMode::Pmem => {
+        PersistAxiom::FlushFence => {
             // flush-fence: clwb(loc) @ core k, then the next same-core
             // fence, orders k's last prior store to loc before every
             // τ-later store.
@@ -480,7 +565,7 @@ fn build_execution(proj: &[Event], stores: &[StoreRef], mode: PersistencyMode) -
                 }
             }
         }
-        PersistencyMode::Bep => {
+        PersistAxiom::EpochBarrier => {
             // epoch-barrier: a fence orders every same-core prior store
             // before every τ-later store.
             for (p, &(core, _, inst)) in proj.iter().enumerate() {

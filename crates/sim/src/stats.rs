@@ -178,15 +178,16 @@ const LAT_SUBS: u64 = 32;
 const LAT_EXACT: u64 = 2 * LAT_SUBS;
 /// First major exponent that uses sub-bucketing.
 const LAT_FIRST_MAJOR: u32 = 6; // 2^6 == LAT_EXACT
-/// Total bucket count: 64 exact + 32 subs for each major 6..=63.
-const LAT_BUCKETS: usize = LAT_EXACT as usize + (64 - LAT_FIRST_MAJOR as usize) * LAT_SUBS as usize;
 
 /// An HDR-style log-bucketed latency histogram with mergeable state.
 ///
 /// Values `< 64` land in exact unit buckets; larger values land in one of
 /// 32 linear sub-buckets within their power-of-two major bucket, bounding
 /// relative quantization error at ~3%, tight enough to report tail
-/// percentiles.
+/// percentiles. Buckets are allocated on demand up to the highest one
+/// recorded (64 exact + 32 subs for each major 6..=63 at most): a machine
+/// that never records, or records only small latencies, does not pay for
+/// the whole 15 KiB array.
 ///
 /// [`LatencyHistogram::merge`] is associative and commutative with an
 /// empty histogram as identity — the same `Stats`-style monoid contract
@@ -207,7 +208,9 @@ const LAT_BUCKETS: usize = LAT_EXACT as usize + (64 - LAT_FIRST_MAJOR as usize) 
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: Box<[u64; LAT_BUCKETS]>,
+    /// Counts up to the highest bucket recorded; the last one is
+    /// non-zero, so equal contents mean equal histograms.
+    buckets: Vec<u64>,
     samples: u64,
     sum: u128,
     max: u64,
@@ -224,7 +227,7 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            buckets: Box::new([0; LAT_BUCKETS]),
+            buckets: Vec::new(),
             samples: 0,
             sum: 0,
             max: 0,
@@ -258,10 +261,7 @@ impl LatencyHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::index_of(value)] += 1;
-        self.samples += 1;
-        self.sum += u128::from(value);
-        self.max = self.max.max(value);
+        self.record_many(value, 1);
     }
 
     /// Records `count` identical samples.
@@ -269,7 +269,11 @@ impl LatencyHistogram {
         if count == 0 {
             return;
         }
-        self.buckets[Self::index_of(value)] += count;
+        let idx = Self::index_of(value);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += count;
         self.samples += count;
         self.sum += u128::from(value) * u128::from(count);
         self.max = self.max.max(value);
@@ -302,7 +306,10 @@ impl LatencyHistogram {
     /// Associative and commutative with [`LatencyHistogram::new`] as the
     /// identity, so shard snapshots combine in any grouping.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
         self.samples += other.samples;
@@ -555,6 +562,76 @@ mod tests {
             b.record(0);
         }
         assert_eq!(a, b);
+    }
+
+    /// Fisher-Yates shuffle driven by `rng`.
+    fn shuffle<T>(items: &mut [T], rng: &mut crate::SplitMix64) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.next_index(i + 1));
+        }
+    }
+
+    #[test]
+    fn latency_histogram_groups_orders_and_percentiles_match_oracles() {
+        let mut rng = crate::SplitMix64::new(0x1A7E_1C75);
+        for case in 0..300 {
+            let n = rng.next_index(200);
+            // Exact-bucket values, mid-range values and the full u64 range.
+            let samples: Vec<u64> = (0..n)
+                .map(|_| match rng.next_below(3) {
+                    0 => rng.next_below(64),
+                    1 => rng.next_below(100_000),
+                    _ => rng.next_u64() >> rng.next_below(64),
+                })
+                .collect();
+            let mut whole = LatencyHistogram::new();
+            for &v in &samples {
+                whole.record(v);
+            }
+
+            // Random groups, merged in a random order.
+            let mut groups = vec![LatencyHistogram::new(); 1 + rng.next_index(6)];
+            for &v in &samples {
+                let g = rng.next_index(groups.len());
+                groups[g].record(v);
+            }
+            shuffle(&mut groups, &mut rng);
+            let mut merged = LatencyHistogram::new();
+            for g in &groups {
+                merged.merge(g);
+            }
+            assert_eq!(merged, whole, "case {case}: merged groups");
+
+            // Recording order.
+            let mut reordered_samples = samples.clone();
+            shuffle(&mut reordered_samples, &mut rng);
+            let mut reordered = LatencyHistogram::new();
+            for &v in &reordered_samples {
+                reordered.record(v);
+            }
+            assert_eq!(reordered, whole, "case {case}: recording order");
+
+            // Percentiles against the sorted samples.
+            let mut sorted = samples;
+            sorted.sort_unstable();
+            let random_rank = 1 + rng.next_below(999) as u32;
+            for permille in [1, 250, 500, 900, 990, 999, random_rank] {
+                let want = sorted.last().map_or(0, |&max| {
+                    let target = (sorted.len() * permille as usize).div_ceil(1000);
+                    LatencyHistogram::lower_bound(LatencyHistogram::index_of(sorted[target - 1]))
+                        .min(max)
+                });
+                assert_eq!(
+                    whole.percentile_permille(permille),
+                    want,
+                    "case {case}: p{permille} of {n} samples"
+                );
+            }
+            assert_eq!(
+                whole.percentile_permille(1000),
+                sorted.last().copied().unwrap_or(0)
+            );
+        }
     }
 
     #[test]

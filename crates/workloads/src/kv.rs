@@ -467,7 +467,8 @@ pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbb_core::{Batched, PersistencyMode, System};
+    use crate::queue_feed::QueueFeed;
+    use bbb_core::{PersistencyMode, System};
     use bbb_sim::{AddressMap, SimConfig};
 
     fn small_layout(cfg: &SimConfig) -> KvLayout {
@@ -659,18 +660,20 @@ mod tests {
 
     #[test]
     fn stream_matches_batch_adapter() {
+        // `run` feeds the workload through `Batched`; the reference feed
+        // is an independent queue per core.
         let cfg = SimConfig::small_for_tests();
         let layout = small_layout(&cfg);
         let mut stream_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
         let kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
-        let mut stream = Batched::new(kv, cfg.cores);
+        let mut stream = QueueFeed::new(kv, cfg.cores);
         stream_sys.prepare_stream(&mut stream);
-        stream_sys.run_stream(&mut stream, u64::MAX);
+        let streamed = stream_sys.run_stream(&mut stream, u64::MAX);
 
         let mut batch_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
         let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
         batch_sys.prepare(&mut kv);
-        batch_sys.run(&mut kv, u64::MAX);
+        assert_eq!(batch_sys.run(&mut kv, u64::MAX), streamed);
 
         assert_eq!(stream_sys.stats(), batch_sys.stats());
     }

@@ -36,6 +36,8 @@ pub mod linkedlist;
 pub mod locks;
 pub mod palloc;
 pub mod pstore_log;
+#[cfg(test)]
+mod queue_feed;
 pub mod rtree;
 pub mod suite;
 pub mod wal;

@@ -651,6 +651,7 @@ pub fn with_epoch_barriers(inner: Box<dyn Workload>) -> Box<dyn Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue_feed::QueueFeed;
     use bbb_core::{PersistencyMode, System};
 
     #[test]
@@ -713,14 +714,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert!(n > 0, "{}: nothing recovered", kind.name());
 
-            // Batch adapter path produces the identical machine history.
-            let mut w = make_workload(kind, &cfg, params);
+            // An independent queue feed over the same workload produces
+            // the identical machine history.
+            let w = make_workload(kind, &cfg, params);
             assert_eq!(w.name(), kind.name());
-            let mut batch_sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
-            batch_sys.prepare(w.as_mut());
-            batch_sys.run(w.as_mut(), u64::MAX);
-            batch_sys.drain_all_store_buffers();
-            assert_eq!(stream_stats, batch_sys.stats(), "{}", kind.name());
+            let mut feed = QueueFeed::new(w, cfg.cores);
+            let mut feed_sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
+            feed_sys.prepare_stream(&mut feed);
+            assert_eq!(feed_sys.run_stream(&mut feed, u64::MAX), summary);
+            feed_sys.drain_all_store_buffers();
+            assert_eq!(stream_stats, feed_sys.stats(), "{}", kind.name());
         }
     }
 

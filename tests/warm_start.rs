@@ -4,7 +4,9 @@
 //! and runs the identical simulated history, and a store that arch has
 //! committed reaches media only when it is written back.
 
-use bbb::core::{Batched, Op, PersistencyMode, System};
+use std::collections::VecDeque;
+
+use bbb::core::{Op, OpStream, PersistencyMode, System, Workload};
 use bbb::mem::{ByteStore, NvmImage};
 use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::{KvLayout, KvMix, KvSpec, KvWorkload};
@@ -58,21 +60,48 @@ fn prepared_kv_media_equals_per_slot_image() {
     assert!(image.as_store() == &want, "NVMM media differs");
 }
 
+/// An op feed written independently of `Batched`, which `System::run`
+/// uses: each core pulls whole batches into its own queue.
+struct QueueFeed {
+    workload: KvWorkload,
+    queues: Vec<VecDeque<Op>>,
+}
+
+impl OpStream for QueueFeed {
+    fn name(&self) -> &str {
+        self.workload.name()
+    }
+
+    fn setup(&mut self, arch: &mut ByteStore) {
+        self.workload.setup(arch);
+    }
+
+    fn next_op(&mut self, core: usize, arch: &mut ByteStore) -> Option<Op> {
+        while self.queues[core].is_empty() {
+            let batch = self.workload.next_batch(core, arch)?;
+            self.queues[core].extend(batch);
+        }
+        self.queues[core].pop_front()
+    }
+}
+
 #[test]
 fn kv_a_stream_matches_batch_adapter() {
     let cfg = SimConfig::small_for_tests();
     let layout = layout(&cfg);
 
-    let kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
-    let mut stream = Batched::new(kv, cfg.cores);
+    let mut stream = QueueFeed {
+        workload: KvWorkload::new(layout, spec(KvMix::A), cfg.cores),
+        queues: vec![VecDeque::new(); cfg.cores],
+    };
     let mut stream_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
     stream_sys.prepare_stream(&mut stream);
-    stream_sys.run_stream(&mut stream, u64::MAX);
+    let streamed = stream_sys.run_stream(&mut stream, u64::MAX);
 
     let mut batch = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
     let mut batch_sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
     batch_sys.prepare(&mut batch);
-    batch_sys.run(&mut batch, u64::MAX);
+    assert_eq!(batch_sys.run(&mut batch, u64::MAX), streamed);
 
     let stats = stream_sys.stats();
     assert!(stats.get("cores.stores") > 0, "mix A must write");
