@@ -424,22 +424,17 @@ impl CacheHierarchy {
     /// Every block that holds dirty data anywhere in the hierarchy, with
     /// its latest payload — the drain set of an eADR crash. The list is
     /// deduplicated: an L1 M copy supersedes the (stale) L2 payload.
-    #[must_use]
-    pub fn dirty_blocks(&self) -> Vec<(BlockAddr, [u8; BLOCK_BYTES], bool)> {
-        let mut out = Vec::new();
-        for line in self.l2.iter() {
+    pub fn dirty_blocks(&self) -> impl Iterator<Item = (BlockAddr, [u8; BLOCK_BYTES], bool)> + '_ {
+        self.l2.iter().filter_map(|line| {
             if let Some(o) = line.owner {
                 let l1 = self.l1s[o].peek(line.block).expect("inclusion");
                 if l1.state == Mesi::M {
-                    out.push((line.block, l1.data, line.persistent));
-                    continue;
+                    return Some((line.block, l1.data, line.persistent));
                 }
             }
-            if line.dirty {
-                out.push((line.block, line.data, line.persistent));
-            }
-        }
-        out
+            line.dirty
+                .then_some((line.block, line.data, line.persistent))
+        })
     }
 
     /// Latest value of `block` visible in the hierarchy, if cached.
@@ -853,7 +848,7 @@ mod tests {
         let mut hooks = NullHooks;
         let b = pblock(&c, 8);
         h.write(0, 0, b, 0, &[0xBB], &mut mem, &mut hooks);
-        let dirty = h.dirty_blocks();
+        let dirty: Vec<_> = h.dirty_blocks().collect();
         assert_eq!(dirty.len(), 1);
         let (blk, data, persistent) = dirty[0];
         assert_eq!(blk, b);
@@ -869,7 +864,7 @@ mod tests {
         let mut hooks = NullHooks;
         let b = BlockAddr::from_index(4); // DRAM region
         h.write(0, 0, b, 0, &[0x01], &mut mem, &mut hooks);
-        let dirty = h.dirty_blocks();
+        let dirty: Vec<_> = h.dirty_blocks().collect();
         assert_eq!(dirty.len(), 1);
         assert!(!dirty[0].2);
     }

@@ -61,7 +61,7 @@ pub mod workload;
 // methods take `Op` batches and the architectural `ByteStore`) without
 // depending on the component crates directly.
 pub use bbb_cpu::Op;
-pub use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
+pub use bbb_mem::{ByteStore, ImageBasis, NvmImage, PAGE_BYTES};
 pub use bbpb::Bbpb;
 pub use buffer::AllocOutcome;
 pub use crash::CrashCost;

@@ -24,7 +24,7 @@ use std::iter::Peekable;
 
 use bbb_cache::CacheHierarchy;
 use bbb_cpu::{CoreState, Op, SbEntry};
-use bbb_mem::{ByteStore, NvmImage};
+use bbb_mem::{ByteStore, ImageBasis, NvmImage};
 use bbb_sim::{
     merge_logs, AddressMap, BlockAddr, Cycle, EventKind, MemoryPort, SchedProfile, SimConfig,
     Stats, TraceEvent, TraceLog, BLOCK_BYTES,
@@ -814,15 +814,24 @@ impl System {
     /// images (see the differential tests).
     #[must_use]
     pub fn crash_image(&self, battery_ok: bool) -> NvmImage {
-        let mut media = self.memories.nvmm().media_snapshot();
+        self.crash_image_on(battery_ok, &mut ImageBasis::default())
+    }
+
+    /// [`System::crash_image`] built on `basis`, the last image this
+    /// machine built in the same battery state: a page keeps that image's
+    /// pointer when neither its media page nor the writes landing on it
+    /// changed (see [`ImageBasis`]). The bytes are
+    /// [`System::crash_image`]'s; `basis` then describes this image.
+    #[must_use]
+    pub fn crash_image_on(&self, battery_ok: bool, basis: &mut ImageBasis) -> NvmImage {
         self.surviving_writes(battery_ok, |_, w| match w {
-            Write::Block(block, data) => media.write_block(block, &data),
-            Write::Store { store, .. } => media.write(
+            Write::Block(block, data) => basis.write(block.base(), &data),
+            Write::Store { store, .. } => basis.write(
                 store.block.base() + store.offset as u64,
                 &store.bytes[..store.len],
             ),
         });
-        NvmImage::from_store(media)
+        basis.build(self.memories.nvmm().media_snapshot())
     }
 
     /// A fingerprint of everything [`System::crash_image`] can read: equal
@@ -974,7 +983,6 @@ impl System {
             PersistencyMode::Eadr | PersistencyMode::Pmem | PersistencyMode::Bep => {
                 self.hierarchy
                     .dirty_blocks()
-                    .iter()
                     .filter(|(_, _, persistent)| *persistent)
                     .count() as u64
             }
@@ -1686,6 +1694,51 @@ mod tests {
                     assert_eq!(again, destructive, "{case}: live system undisturbed");
                 }
             }
+        }
+    }
+
+    /// The pages of `image` whose pointer differs from `last`'s (or that
+    /// only one of them holds).
+    fn moved_pages(last: &NvmImage, image: &NvmImage) -> Vec<u64> {
+        let mut pages: Vec<u64> = last
+            .as_store()
+            .iter_pages()
+            .chain(image.as_store().iter_pages())
+            .map(|(base, _)| base)
+            .filter(|&base| last.pin(base).changed_blocks(image, base).is_some())
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// An image built on the last one, with nothing in between, shares
+    /// every page with it; after one more store, only that store's page
+    /// is new. Each equals the full build.
+    #[test]
+    fn an_image_built_on_the_last_keeps_its_unchanged_pages() {
+        for mode in [
+            PersistencyMode::Eadr,
+            PersistencyMode::BbbMemorySide,
+            PersistencyMode::BbbProcessorSide,
+        ] {
+            let mut s = sys(mode);
+            let a = pbase(&s);
+            for page in 0..3 {
+                s.preload_u64(a + page * 4096, 7);
+                s.step_op(0, &Op::store_u64(a + page * 4096 + 8, page + 1));
+            }
+            let mut basis = ImageBasis::default();
+            let first = s.crash_image_on(true, &mut basis);
+            assert_eq!(first, s.crash_image(true), "{mode}");
+            assert_eq!(basis.overlaid(), 3, "{mode}: the overlay lands on 3 pages");
+            let second = s.crash_image_on(true, &mut basis);
+            assert!(moved_pages(&first, &second).is_empty(), "{mode}");
+
+            s.step_op(0, &Op::store_u64(a + 4096 + 16, 9));
+            let third = s.crash_image_on(true, &mut basis);
+            assert_eq!(third, s.crash_image(true), "{mode}");
+            assert_eq!(moved_pages(&second, &third), vec![a + 4096], "{mode}");
         }
     }
 

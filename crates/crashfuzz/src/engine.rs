@@ -4,10 +4,14 @@
 //! non-destructive [`System::crash_image`] there, per battery state. An
 //! unchanged [`System::crash_image_epoch`] proves the image identical to
 //! the last one, so the engine returns `None` and the caller reuses its
-//! last conclusion.
+//! last conclusion. A fresh image is built on the last one of the same
+//! battery state ([`System::crash_image_on`]): it keeps that image's
+//! pages wherever neither media nor the writes laid over it changed, so a
+//! recovery oracle diffing the two compares only the pages that did.
 
 use bbb_core::{
-    NvmImage, Op, PersistencyMode, ProbeKind, RunCursor, StopAt, System, Workload, PAGE_BYTES,
+    ImageBasis, NvmImage, Op, PersistencyMode, ProbeKind, RunCursor, StopAt, System, Workload,
+    PAGE_BYTES,
 };
 use bbb_sim::{Cycle, SchedProfile, SimConfig};
 
@@ -63,8 +67,11 @@ pub struct SweepPerf {
     /// Media pages shared between a crash image and the live run —
     /// pages a deep clone would have copied and COW did not.
     pub pages_shared: u64,
-    /// Media pages the overlay actually deep-copied (persist-domain
-    /// contents landing on pages still shared with the live run).
+    /// Media pages the persist-domain overlay lands on, each of which an
+    /// image built from media alone ([`System::crash_image`]) copies. An
+    /// image built on the last one copies only those whose media page or
+    /// writes changed since, so this counts the copies the overlay costs
+    /// at most.
     pub pages_copied: u64,
     /// Bytes of media never copied thanks to COW snapshots
     /// (`pages_shared * PAGE_BYTES`).
@@ -102,6 +109,8 @@ pub struct CrashSweep {
     cursor: RunCursor,
     /// The last imaged epoch per battery state, indexed by `battery_ok`.
     last_epoch: [Option<u64>; 2],
+    /// The last image per battery state, which the next one is built on.
+    basis: [ImageBasis; 2],
     perf: SweepPerf,
 }
 
@@ -120,6 +129,7 @@ impl CrashSweep {
             feed,
             cursor: RunCursor::new(cfg.cores),
             last_epoch: [None; 2],
+            basis: Default::default(),
             perf: SweepPerf::default(),
         }
     }
@@ -164,17 +174,24 @@ impl CrashSweep {
             return None;
         }
         *last = Some(epoch);
-        // Every resident page starts shared with the live run; the COW
-        // counter delta says how many the overlay copied.
-        let (resident, copies_before) = self.sys.media_cow_stats();
-        let image = self.sys.crash_image(battery_ok);
-        let copied = image.as_store().cow_page_copies() - copies_before;
+        // Every resident page starts shared with the live run; the
+        // overlay lands on `copied` of them.
+        let (resident, _) = self.sys.media_cow_stats();
+        let basis = &mut self.basis[usize::from(battery_ok)];
+        let image = self.sys.crash_image_on(battery_ok, basis);
+        let copied = basis.overlaid();
         let shared = (resident as u64).saturating_sub(copied);
         self.perf.snapshots += 1;
         self.perf.pages_shared += shared;
         self.perf.pages_copied += copied;
         self.perf.clone_bytes_avoided += shared * PAGE_BYTES as u64;
         Some(image)
+    }
+
+    /// The machine, at the point the sweep last advanced to.
+    #[must_use]
+    pub fn system(&self) -> &System {
+        &self.sys
     }
 
     /// The sweep's counters, with the simulated cycles and profile so far.

@@ -14,8 +14,6 @@
 //!   question is always "what if power fails one cycle before/after the
 //!   hardware committed to an ordering decision".
 
-use std::collections::BTreeSet;
-
 use bbb_sim::{Cycle, SplitMix64};
 
 /// Default planner seed (sweeps are bit-reproducible given a seed).
@@ -69,27 +67,30 @@ impl GridSpec {
 #[must_use]
 pub fn plan_points(total: Cycle, events: &[Cycle], spec: &GridSpec) -> Vec<Cycle> {
     assert!(total > 0, "cannot plan crash points for an empty run");
-    let mut set = BTreeSet::new();
+    let mut points = Vec::new();
     if spec.dense_points > 0 {
         let stride = (total / spec.dense_points as u64).max(1);
-        let mut t = stride;
-        while t <= total {
-            set.insert(t);
-            t += stride;
-        }
+        points.extend((1..=total / stride).map(|k| k * stride));
     }
     let mut rng = SplitMix64::new(spec.seed);
-    for _ in 0..spec.random_points {
-        set.insert(1 + rng.next_below(total));
-    }
+    points.extend((0..spec.random_points).map(|_| 1 + rng.next_below(total)));
+    let mut last = None;
     for &e in events {
+        // A repeated event adds nothing; repeats are consecutive in a
+        // reference run's event list, which never decreases.
+        if last == Some(e) {
+            continue;
+        }
+        last = Some(e);
         for p in [e.saturating_sub(1), e, e.saturating_add(1)] {
             if (1..=total).contains(&p) {
-                set.insert(p);
+                points.push(p);
             }
         }
     }
-    set.into_iter().collect()
+    points.sort_unstable();
+    points.dedup();
+    points
 }
 
 #[cfg(test)]
@@ -132,6 +133,50 @@ mod tests {
         let spec = GridSpec::bounded(100, 0, 1);
         let points = plan_points(8, &[], &spec);
         assert_eq!(points, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// The plan is exactly the set of every family's points, on random
+    /// runs and event lists (sorted, as a reference run records them, or
+    /// not).
+    #[test]
+    fn plan_matches_a_set_of_every_point() {
+        let mut rng = SplitMix64::new(0x9A1D);
+        for case in 0..500 {
+            let total = 1 + rng.next_below(if case % 2 == 0 { 50 } else { 100_000 });
+            let spec = GridSpec::bounded(
+                rng.next_below(300) as usize,
+                rng.next_below(100) as usize,
+                rng.next_u64(),
+            );
+            let mut events: Vec<Cycle> = (0..rng.next_below(400))
+                .map(|_| rng.next_below(total + 2))
+                .collect();
+            if case % 3 != 0 {
+                events.sort_unstable();
+            }
+            let mut set = std::collections::BTreeSet::new();
+            if spec.dense_points > 0 {
+                let stride = (total / spec.dense_points as u64).max(1);
+                let mut t = stride;
+                while t <= total {
+                    set.insert(t);
+                    t += stride;
+                }
+            }
+            let mut r = SplitMix64::new(spec.seed);
+            for _ in 0..spec.random_points {
+                set.insert(1 + r.next_below(total));
+            }
+            for &e in &events {
+                for p in [e.saturating_sub(1), e, e.saturating_add(1)] {
+                    if (1..=total).contains(&p) {
+                        set.insert(p);
+                    }
+                }
+            }
+            let want: Vec<Cycle> = set.into_iter().collect();
+            assert_eq!(plan_points(total, &events, &spec), want, "case {case}");
+        }
     }
 
     #[test]

@@ -168,10 +168,16 @@ impl ByteStore {
                             None => *slot = Arc::new(page_from(src)),
                         }
                     } else {
-                        if Arc::get_mut(slot).is_none() {
-                            self.cow_page_copies += 1;
-                        }
-                        Arc::make_mut(slot)[off..off + n].copy_from_slice(src);
+                        // One uniqueness check: write through an unshared
+                        // page, copy a shared one first.
+                        let p = match Arc::get_mut(slot) {
+                            Some(p) => p,
+                            None => {
+                                self.cow_page_copies += 1;
+                                Arc::make_mut(slot)
+                            }
+                        };
+                        p[off..off + n].copy_from_slice(src);
                     }
                 }
                 Entry::Vacant(v) => {
@@ -216,6 +222,13 @@ impl ByteStore {
     #[inline]
     pub(crate) fn page_for(&self, addr: Addr) -> Option<&Arc<Page>> {
         self.pages.get(&(addr >> PAGE_SHIFT))
+    }
+
+    /// Puts `page` at the page holding `addr`, as it is: the crash
+    /// imager's way to lay a built page into a media snapshot.
+    pub(crate) fn set_page(&mut self, addr: Addr, page: Arc<Page>) {
+        self.version += 1;
+        self.pages.insert(addr >> PAGE_SHIFT, page);
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -343,6 +356,37 @@ mod tests {
         drop(snap);
         assert_eq!(m.shared_pages(), 0);
         assert_eq!(m.cow_page_copies(), 1);
+    }
+
+    /// Exactly the partial writes that land on a shared page count a
+    /// copy, once per page and sharing: an unshared page, a fresh page
+    /// and a full-page overwrite never do.
+    #[test]
+    fn cow_copies_count_shared_partial_writes_only() {
+        let mut m = ByteStore::new();
+        m.write_u64(0x0000, 1); // fresh pages: no copy
+        m.write_u64(0x1000, 2);
+        m.write_u64(0x2000, 3);
+        m.write_u64(0x0008, 4); // unshared: in place
+        assert_eq!(m.cow_page_copies(), 0);
+
+        let snap = m.clone();
+        m.write(0x0FFC, &[7; 8]); // straddles two shared pages
+        assert_eq!(m.cow_page_copies(), 2);
+        m.write_u64(0x0010, 5); // both now unshared
+        m.write_u64(0x1010, 6);
+        assert_eq!(m.cow_page_copies(), 2);
+        m.write(0x2000, &[9; PAGE_BYTES]); // a full page replaces, unread
+        m.write_u64(0x2008, 8); // ... and is unshared after
+        assert_eq!(m.cow_page_copies(), 2);
+
+        let mut other = ByteStore::new();
+        other.share_page(&m, 0x1000);
+        m.write_u64(0x1018, 9); // shared again, through `share_page`
+        other.write_u64(0x1018, 9); // the other holder's copy is its own
+        assert_eq!((m.cow_page_copies(), other.cow_page_copies()), (3, 0));
+        assert_eq!(snap.read_u64(0x0008), 4);
+        assert_eq!(m.read_u64(0x0FFC) & 0xFFFF_FFFF, 0x0707_0707);
     }
 
     #[test]

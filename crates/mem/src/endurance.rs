@@ -6,9 +6,7 @@
 //! block so benchmarks can report totals, unique blocks, and the hottest
 //! block.
 
-use std::collections::HashMap;
-
-use bbb_sim::{BlockAddr, Stats};
+use bbb_sim::{BlockAddr, FxHashMap, Stats};
 
 /// Per-block media write counts.
 ///
@@ -28,7 +26,9 @@ use bbb_sim::{BlockAddr, Stats};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnduranceTracker {
-    per_block: HashMap<BlockAddr, u64>,
+    /// Keyed by the unkeyed [`bbb_sim::FxHasher`]: this map sits on every
+    /// media write, and no statistic depends on its iteration order.
+    per_block: FxHashMap<BlockAddr, u64>,
     total: u64,
 }
 

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use bbb_sim::{Addr, BlockAddr, BLOCK_BYTES};
+use bbb_sim::{Addr, BlockAddr, FxHashMap, BLOCK_BYTES};
 
 use crate::backing::{ByteStore, Page, PAGE_BYTES};
 
@@ -156,6 +156,188 @@ impl ImageReader<'_> {
     }
 }
 
+/// One write a crash lays over media: `len` bytes at `offset` of its
+/// page, and the next write on the same page.
+#[derive(Debug, Clone, Copy)]
+struct Patch {
+    offset: u16,
+    len: u8,
+    bytes: [u8; BLOCK_BYTES],
+    next: u32,
+}
+
+impl Patch {
+    /// True when `other` writes the same bytes at the same offset.
+    fn same(&self, other: &Patch) -> bool {
+        let len = usize::from(self.len);
+        (self.offset, self.len) == (other.offset, other.len)
+            && self.bytes[..len] == other.bytes[..len]
+    }
+}
+
+/// The end of a page's write list.
+const END: u32 = u32::MAX;
+
+/// The writes of the list from `first` through [`Patch::next`].
+fn writes(list: &[Patch], first: u32) -> impl Iterator<Item = &Patch> {
+    let next = |&i: &u32| Some(list[i as usize].next).filter(|&n| n != END);
+    std::iter::successors(Some(first), next).map(|i| &list[i as usize])
+}
+
+/// The writes an image lays on one page, and the page they made.
+#[derive(Debug)]
+struct Overlay {
+    /// The page's writes in crash order: a list through [`Patch::next`]
+    /// from `first` to `last`, `count` long.
+    first: u32,
+    last: u32,
+    count: u32,
+    /// The media page they were laid over (`None`: an absent page) and
+    /// the page built, once built.
+    media: Option<Arc<Page>>,
+    built: Option<Arc<Page>>,
+}
+
+/// Builds crash images — media with the persistence domain's writes laid
+/// over — and remembers the pages the last image built, so the next image
+/// of the same machine and battery state shares them where nothing under
+/// them changed.
+///
+/// A page keeps the last image's pointer when its media page is the same
+/// `Arc` and the ordered writes landing on it are the same; every other
+/// page with writes is built afresh from media's page and its writes, in
+/// crash order. A fresh basis has no last image, so it builds every such
+/// page: the one overlay definition, with or without a last image.
+///
+/// What a basis keeps pins memory — the pages it built and the media
+/// pages under them — and the live media copies a pinned page on its next
+/// write instead of writing it in place.
+///
+/// # Examples
+///
+/// ```
+/// use bbb_mem::{ByteStore, ImageBasis};
+/// let mut media = ByteStore::new();
+/// media.write_u64(0x1000, 1);
+/// let mut basis = ImageBasis::default();
+/// basis.write(0x1008, &2u64.to_le_bytes());
+/// let first = basis.build(media.clone());
+/// assert_eq!((first.read_u64(0x1000), first.read_u64(0x1008)), (1, 2));
+///
+/// // The same writes over the same media page: the page is kept.
+/// basis.write(0x1008, &2u64.to_le_bytes());
+/// let second = basis.build(media.clone());
+/// assert_eq!(first.pin(0x1000).changed_blocks(&second, 0x1000), None);
+///
+/// // Another write to it builds it again.
+/// basis.write(0x1010, &3u64.to_le_bytes());
+/// let third = basis.build(media.clone());
+/// assert_eq!(second.pin(0x1000).changed_blocks(&third, 0x1000), Some(1));
+/// ```
+#[derive(Debug, Default)]
+pub struct ImageBasis {
+    /// The next image's writes, and the pages they land on.
+    patches: Vec<Patch>,
+    next: FxHashMap<Addr, Overlay>,
+    /// The last image's writes, and the pages it built.
+    last: Vec<Patch>,
+    pages: FxHashMap<Addr, Overlay>,
+    /// Media pages the last build laid writes over.
+    overlaid: u64,
+}
+
+impl ImageBasis {
+    /// Records a write of the next image: `data` at `addr`, after every
+    /// write recorded before it.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than a block or crosses a page boundary.
+    pub fn write(&mut self, addr: Addr, data: &[u8]) {
+        let offset = (addr as usize) & (PAGE_BYTES - 1);
+        assert!(
+            data.len() <= BLOCK_BYTES && offset + data.len() <= PAGE_BYTES,
+            "a crash write lies within one block"
+        );
+        let mut bytes = [0; BLOCK_BYTES];
+        bytes[..data.len()].copy_from_slice(data);
+        let at = self.patches.len() as u32;
+        self.patches.push(Patch {
+            offset: offset as u16,
+            len: data.len() as u8,
+            bytes,
+            next: END,
+        });
+        let page = addr - offset as Addr;
+        let run = self.next.entry(page).or_insert(Overlay {
+            first: at,
+            last: at,
+            count: 0,
+            media: None,
+            built: None,
+        });
+        if run.count > 0 {
+            self.patches[run.last as usize].next = at;
+        }
+        run.last = at;
+        run.count += 1;
+    }
+
+    /// The crash image of `media`, a snapshot of the live media, with the
+    /// writes recorded since the last build laid over it. The basis then
+    /// describes this image.
+    #[must_use]
+    pub fn build(&mut self, mut media: ByteStore) -> NvmImage {
+        let Self {
+            patches,
+            next,
+            last,
+            pages,
+            overlaid,
+        } = self;
+        *overlaid = 0;
+        // Pages are independent, so any order builds the same image.
+        for (&page, run) in next.iter_mut() {
+            let under = media.page_for(page).cloned();
+            *overlaid += u64::from(under.is_some());
+            let kept = pages.get(&page).filter(|old| {
+                old.media.as_ref().map(Arc::as_ptr) == under.as_ref().map(Arc::as_ptr)
+                    && old.count == run.count
+                    && writes(last, old.first)
+                        .zip(writes(patches, run.first))
+                        .all(|(a, b)| a.same(b))
+            });
+            let built = match kept.and_then(|old| old.built.clone()) {
+                Some(page) => page,
+                None => {
+                    let mut built = under.clone().unwrap_or_else(|| Arc::new([0; PAGE_BYTES]));
+                    let bytes = Arc::make_mut(&mut built);
+                    for p in writes(patches, run.first) {
+                        let (at, len) = (usize::from(p.offset), usize::from(p.len));
+                        bytes[at..at + len].copy_from_slice(&p.bytes[..len]);
+                    }
+                    built
+                }
+            };
+            media.set_page(page, Arc::clone(&built));
+            (run.media, run.built) = (under, Some(built));
+        }
+        std::mem::swap(pages, next);
+        std::mem::swap(last, patches);
+        // The image before the last pins nothing.
+        next.clear();
+        patches.clear();
+        NvmImage::from_store(media)
+    }
+
+    /// Media pages the last [`ImageBasis::build`] laid writes over: the
+    /// pages a build with no last image copies.
+    #[must_use]
+    pub fn overlaid(&self) -> u64 {
+        self.overlaid
+    }
+}
+
 /// One page of an image, held for diffing against later images.
 ///
 /// A pinned page shares the image's copy-on-write page, so its bytes can
@@ -167,6 +349,16 @@ impl ImageReader<'_> {
 pub struct PinnedPage(Option<Arc<Page>>);
 
 impl PinnedPage {
+    /// Reads the little-endian `u64` at `addr` of the pinned page, which
+    /// must hold all 8 bytes; an absent page reads as zeros.
+    #[must_use]
+    pub fn read_u64(&self, addr: Addr) -> u64 {
+        let off = (addr as usize) & (PAGE_BYTES - 1);
+        self.0.as_ref().map_or(0, |p| {
+            u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"))
+        })
+    }
+
     /// The 64-byte blocks of the page at `addr` whose bytes in `image`
     /// differ from this pin's: bit `i` stands for block `i` of the page.
     /// `None`, without reading a byte, when `image` holds the pinned page

@@ -38,6 +38,6 @@ pub mod wpq;
 pub use backing::{ByteStore, PAGE_BYTES};
 pub use controller::{DramController, NvmmController, WriteOutcome};
 pub use endurance::EnduranceTracker;
-pub use image::{ImageReader, NvmImage, PinnedPage};
+pub use image::{ImageBasis, ImageReader, NvmImage, PinnedPage};
 pub use sched::ChannelScheduler;
 pub use wpq::WritePendingQueue;

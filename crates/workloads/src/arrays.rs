@@ -19,8 +19,8 @@
 
 use bbb_core::Workload;
 use bbb_cpu::Op;
-use bbb_mem::{ByteStore, NvmImage};
-use bbb_sim::{Addr, AddressMap, SplitMix64};
+use bbb_mem::{ByteStore, NvmImage, PinnedPage, PAGE_BYTES};
+use bbb_sim::{Addr, AddressMap, SplitMix64, BLOCK_BYTES};
 
 use crate::builder::OpBuilder;
 
@@ -182,13 +182,111 @@ pub fn check_array_recovery(image: &NvmImage, base: Addr, elements: u64) -> Resu
     for i in 0..elements {
         let v = image.read_u64(base + i * 8);
         if v & 0xFFFF_0000_0000_0000 != ARRAY_TAG {
-            return Err(format!("element {i} holds untagged value {v:#x}"));
+            return Err(untagged(i, v));
         }
         if v == ARRAY_TAG | i {
             originals += 1;
         }
     }
     Ok(originals)
+}
+
+/// The error of element `i` holding `v`, which carries no tag.
+fn untagged(i: u64, v: u64) -> String {
+    format!("element {i} holds untagged value {v:#x}")
+}
+
+const PAGE: u64 = PAGE_BYTES as u64;
+const BLOCK: u64 = BLOCK_BYTES as u64;
+
+/// [`check_array_recovery`] of one layout, kept across the crash images
+/// of one run.
+///
+/// Once a check has verified, the next full check that verifies keeps a
+/// memo of its image: the pages under the array, pinned, and the count of
+/// elements holding their original values. A later image is diffed
+/// against the pins block by block, and only the elements on changed
+/// blocks are read: the count moves by their old and new words, and an
+/// untagged one is the error. Every element on an unchanged block
+/// verified before, so the lowest untagged index on a changed block is
+/// the lowest of the image, the one the full check names. A failing
+/// image leaves the memo of the last verified one.
+#[derive(Debug)]
+pub(crate) struct ArrayOracle {
+    base: Addr,
+    elements: u64,
+    /// True once a check verified.
+    verified: bool,
+    /// The memo's pages, from the one holding `base`; empty with no memo.
+    pins: Vec<PinnedPage>,
+    originals: u64,
+    /// Indices in `pins` of the pages whose pointer moved.
+    moved: Vec<usize>,
+}
+
+impl ArrayOracle {
+    /// The check of `elements` elements from `base`, with no memo.
+    pub(crate) fn new(base: Addr, elements: u64) -> Self {
+        Self {
+            base,
+            elements,
+            verified: false,
+            pins: Vec::new(),
+            originals: 0,
+            moved: Vec::new(),
+        }
+    }
+
+    /// Verifies `image`, returning the elements holding their original
+    /// values.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-index untagged element, as [`check_array_recovery`]
+    /// names it.
+    pub(crate) fn check(&mut self, image: &NvmImage) -> Result<u64, String> {
+        let end = self.base + 8 * self.elements;
+        if self.pins.is_empty() {
+            let verdict = check_array_recovery(image, self.base, self.elements);
+            if let Ok(originals) = verdict {
+                if self.verified && self.elements > 0 {
+                    let pages = self.base / PAGE..=(end - 1) / PAGE;
+                    self.pins = pages.map(|p| image.pin(p * PAGE)).collect();
+                    self.originals = originals;
+                }
+                self.verified = true;
+            }
+            return verdict;
+        }
+        let mut originals = self.originals;
+        let mut now = image.reader();
+        self.moved.clear();
+        for (k, pin) in self.pins.iter().enumerate() {
+            let page = (self.base / PAGE + k as u64) * PAGE;
+            let Some(mut changed) = pin.changed_blocks(image, page) else {
+                continue;
+            };
+            self.moved.push(k);
+            while changed != 0 {
+                let block = page + u64::from(changed.trailing_zeros()) * BLOCK;
+                changed &= changed - 1;
+                for addr in (block.max(self.base)..(block + BLOCK).min(end)).step_by(8) {
+                    let i = (addr - self.base) / 8;
+                    let (old, new) = (pin.read_u64(addr), now.read_u64(addr));
+                    if new & 0xFFFF_0000_0000_0000 != ARRAY_TAG {
+                        return Err(untagged(i, new));
+                    }
+                    originals -= u64::from(old == ARRAY_TAG | i);
+                    originals += u64::from(new == ARRAY_TAG | i);
+                }
+            }
+        }
+        for &k in &self.moved {
+            self.pins[k] = image.pin((self.base / PAGE + k as u64) * PAGE);
+        }
+        self.originals = originals;
+        Ok(originals)
+    }
 }
 
 #[cfg(test)]

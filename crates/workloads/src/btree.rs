@@ -22,7 +22,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 use crate::builder::OpBuilder;
 use crate::locks::InsertLock;
 use crate::palloc::Palloc;
-use crate::walk::{root_pointer, Local, Shape, Walker};
+use crate::walk::{Local, Root, Shape, Walker};
 
 /// Entries per node.
 pub const FANOUT: usize = 8;
@@ -318,8 +318,12 @@ impl Shape for BtreeShape {
     const MAX_DEPTH: u32 = 64;
     const TOO_DEEP: &'static str = "tree too deep: cycle suspected";
 
-    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
-        root_pointer(image, self.root_slot, 0, kids)
+    fn root(&self) -> Root {
+        Root {
+            addr: self.root_slot,
+            slots: 1,
+            key: 0,
+        }
     }
 
     fn visit(

@@ -19,7 +19,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
 use crate::palloc::Palloc;
-use crate::walk::{root_pointer, Local, Shape, Walker};
+use crate::walk::{Local, Root, Shape, Walker};
 
 const TAG_LEAF: u64 = 0;
 const TAG_INTERNAL: u64 = 1;
@@ -322,8 +322,12 @@ impl Shape for CtreeShape {
     const MAX_DEPTH: u32 = 200;
     const TOO_DEEP: &'static str = "path too deep: cycle suspected";
 
-    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
-        root_pointer(image, self.root_addr, ROOT_BIT, kids)
+    fn root(&self) -> Root {
+        Root {
+            addr: self.root_addr,
+            slots: 1,
+            key: ROOT_BIT,
+        }
     }
 
     fn visit(

@@ -17,7 +17,7 @@ use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
 use crate::palloc::Palloc;
-use crate::walk::{Local, Shape, Walker};
+use crate::walk::{Local, Root, Shape, Walker};
 
 /// A persistent chained hashmap driven as a multi-core workload.
 #[derive(Debug)]
@@ -193,14 +193,12 @@ impl Shape for HashmapShape {
     const MIN_NODE_BYTES: u64 = HashmapWorkload::NODE_BYTES;
     const BUDGET_FIRST: bool = false;
 
-    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local) {
-        kids.extend((0..self.n_buckets).map(|i| image.read_u64(self.buckets_addr + i * 8)));
-        let slots = Local {
-            span: self.n_buckets * 8,
-            leaves: 0,
+    fn root(&self) -> Root {
+        Root {
+            addr: self.buckets_addr,
+            slots: self.n_buckets,
             key: 0,
-        };
-        (self.buckets_addr, slots)
+        }
     }
 
     fn visit(

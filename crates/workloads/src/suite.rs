@@ -9,7 +9,7 @@ use bbb_cpu::Op;
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{AddressMap, SimConfig};
 
-use crate::arrays::{ArrayOpKind, ArrayWorkload, Sharing};
+use crate::arrays::{ArrayOpKind, ArrayOracle, ArrayWorkload, Sharing};
 use crate::btree::{BtreeShape, BtreeWorkload};
 use crate::ctree::{CtreeShape, CtreeWorkload};
 use crate::hashmap::{HashmapShape, HashmapWorkload};
@@ -465,10 +465,11 @@ pub fn verify_recovery(
 ///
 /// The pointer-linked structures (the crit-bit tree, R-tree, B-tree and
 /// hash map) share one incremental walk: once a check has verified, the
-/// oracle memoizes the last image that verified and walks again only the
-/// nodes on 64-byte blocks that changed since, and their ancestors. Each
-/// verdict — the recovered count and the failure text — is the one a
-/// fresh oracle gives. The other structures are checked in one pass.
+/// oracle memoizes the last image it checked and walks again only the
+/// nodes on 64-byte blocks that changed since, and their ancestors. The
+/// arrays read again only the elements on changed blocks. Each verdict —
+/// the recovered count and the failure text — is the one a fresh oracle
+/// gives. The other structures are checked in one pass.
 #[derive(Debug)]
 pub struct RecoveryOracle {
     kind: WorkloadKind,
@@ -482,11 +483,8 @@ enum Walk {
     Rtree(Walker<RtreeShape>),
     Btree(Walker<BtreeShape>),
     Hashmap(Walker<HashmapShape>),
+    Array(ArrayOracle),
     /// The one-pass checks, with no memo.
-    Array {
-        base: u64,
-        elements: u64,
-    },
     Pstore {
         ring_base: u64,
         seed: u64,
@@ -517,7 +515,7 @@ impl RecoveryOracle {
             | WorkloadKind::SwapNC
             | WorkloadKind::SwapC => {
                 let (base, elements) = array_geometry(cfg, params);
-                Walk::Array { base, elements }
+                Walk::Array(ArrayOracle::new(base, elements))
             }
             WorkloadKind::PstoreLog => Walk::Pstore {
                 ring_base: pstore_ring_base(cfg),
@@ -538,9 +536,7 @@ impl RecoveryOracle {
             Walk::Rtree(w) => w.check(image),
             Walk::Btree(w) => w.check(image),
             Walk::Hashmap(w) => w.check(image),
-            Walk::Array { base, elements } => {
-                crate::arrays::check_array_recovery(image, *base, *elements)
-            }
+            Walk::Array(a) => a.check(image),
             Walk::Pstore { ring_base, seed } => check_pstore_recovery(image, *ring_base, *seed),
             Walk::Kv(layout) => check_kv_recovery(image, layout),
             Walk::Wal(layout) => check_wal_recovery(image, layout),

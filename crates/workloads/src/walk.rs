@@ -26,15 +26,24 @@
 //!
 //! A crash sweep checks image after image of one run, and each differs
 //! from the last in a few blocks. Once a check has verified, a walker
-//! keeps a memo of the last image that verified: for each node its address, the
-//! bytes its visit read, its parents, and its subtree's summary (leaves,
-//! visits and height). The memo holds `Arc` clones of the pages those
-//! nodes lie on ([`PinnedPage`]). A pinned page can never change — its
-//! next writer copies it first — so a new image holding the same page
+//! keeps a memo of the last image it checked: for each node its address,
+//! the bytes its visit read, its parents, and its subtree's summary
+//! (leaves, visits and height). The memo holds `Arc` clones of the pages
+//! those nodes lie on ([`PinnedPage`]). A pinned page can never change —
+//! its next writer copies it first — so a new image holding the same page
 //! pointer holds the same bytes. Only pages whose pointer moved are
 //! compared, block by block (64 B). Nodes on a changed block, and their
 //! ancestors through the stored parent links, are walked again; every
-//! clean child contributes its summary unread.
+//! clean child contributes its summary unread. A crash sweep builds each
+//! image on the last one, so a page nothing wrote keeps its pointer.
+//!
+//! Root slots longer than one block — the hash map's bucket array — are
+//! memoized per block: each block of slots is a memo group between the
+//! root and the top-level nodes, so a changed bucket lists its own
+//! group's slots again, and the root sums the groups' summaries. A group
+//! is no node to the rules: the walk order, the root slot an error is
+//! reported under ([`Shape::under`]), the node budget and the depths are
+//! those of the slots listed one by one.
 //!
 //! Parent links are only ever added, never dropped, so a stale link can
 //! make a node walk again needlessly but can never leave a changed
@@ -45,13 +54,25 @@
 //! must stay within the depth limit, and the visit counts are summed
 //! against the budget. An inconsistency found at a walked node is the one
 //! the full walk reports first: the nodes before it in walk order were
-//! walked and passed, or lie in clean subtrees that verified before and
-//! kept their depth and budget. Whatever the memo alone cannot decide —
-//! a clean subtree past the depth limit or the budget, a node reached
-//! from itself, a count overflow — discards the attempt, keeps the memo
-//! of the last verified image, and walks again with no memo. The full
-//! walk is this walk with an empty memo, and a walker builds a memo only
-//! once a check verified, so a one-off check walks as the full walk does.
+//! walked and passed, or lie in clean subtrees that hold as they did in
+//! an earlier image and kept their depth and budget.
+//!
+//! A walk that stops at an inconsistency moves the memo to its image as
+//! well. A node whose subtree it summed keeps its new summary. The nodes
+//! it entered but left open — the failing node's ancestors on its path,
+//! up to the root slots — are stale, and so is every changed node it never
+//! reached; a stale node is walked again whenever a walk reaches it. Every
+//! other node lies on blocks the image did not change, above none that
+//! did, so its summary holds. The moved pages are pinned as the image has
+//! them. A run of failing images thus costs what changed between them,
+//! not what changed since the last image that verified.
+//!
+//! Whatever the memo alone cannot decide — a clean subtree past the depth
+//! limit or the budget, a node reached from itself, a count overflow —
+//! discards the attempt, keeps the memo as it was, and walks again with
+//! no memo. The full walk is this walk with an empty memo, and a walker
+//! builds a memo only once a check verified, so a one-off check walks as
+//! the full walk does.
 //!
 //! Pinning has a cost: the live media copies a pinned page on its next
 //! write, a copy it would otherwise skip once the image is dropped. The
@@ -103,9 +124,8 @@ pub(crate) trait Shape {
     /// false when only after its local checks pass (hash chains).
     const BUDGET_FIRST: bool = true;
 
-    /// Reads the root slots, listing the top-level nodes in `kids`.
-    /// Returns the slots' address, with their span and key.
-    fn root(&self, image: &mut ImageReader<'_>, kids: &mut Vec<Addr>) -> (Addr, Local);
+    /// The root slots.
+    fn root(&self) -> Root;
 
     /// Reads and checks the node at `node`, listing its children in
     /// `kids`. An error may follow some listed children: those are
@@ -139,30 +159,49 @@ pub(crate) trait Shape {
         false
     }
 
-    /// An error found under the root's `top`-th child.
-    fn under(&self, _top: usize, err: String) -> String {
+    /// An error found under the node root slot `slot` names.
+    fn under(&self, _slot: usize, err: String) -> String {
         err
     }
 }
 
-/// [`Shape::root`] of a tree: one 8-byte root-pointer slot at `slot`,
-/// naming no node while 0, checked against its children as `key`.
-pub(crate) fn root_pointer(
-    image: &mut ImageReader<'_>,
-    slot: Addr,
-    key: u32,
-    kids: &mut Vec<Addr>,
-) -> (Addr, Local) {
-    let root = image.read_u64(slot);
-    if root != 0 {
-        kids.push(root);
+/// A structure's root slots: `slots` 8-byte pointers from `addr`, each
+/// naming a top-level node unless 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Root {
+    pub(crate) addr: Addr,
+    pub(crate) slots: u64,
+    /// What [`Shape::edge`] checks the top-level nodes against.
+    pub(crate) key: u32,
+}
+
+impl Root {
+    /// The memo groups of the slots: none when they lie in one block,
+    /// else one per block they touch.
+    fn groups(&self) -> u32 {
+        let (first, last) = (self.addr / BLOCK, (self.addr + 8 * self.slots - 1) / BLOCK);
+        if self.slots == 0 || first == last {
+            0
+        } else {
+            u32::try_from(last - first + 1).expect("root slots fit the address space")
+        }
     }
-    let local = Local {
-        span: 8,
-        leaves: 0,
-        key,
-    };
-    (slot, local)
+
+    /// The slots of group `g`: the index of its first and the bytes
+    /// `from..to` it spans.
+    fn group(&self, g: u32) -> (u32, Addr, Addr) {
+        let block = (self.addr / BLOCK + u64::from(g)) * BLOCK;
+        let (from, to) = (
+            block.max(self.addr),
+            (block + BLOCK).min(self.addr + 8 * self.slots),
+        );
+        ((((from - self.addr) / 8) as u32), from, to)
+    }
+}
+
+/// Lists the pointers in the root slots `from..to` in `kids`.
+fn list_slots(image: &mut ImageReader<'_>, from: Addr, to: Addr, kids: &mut Vec<Addr>) {
+    kids.extend((from..to).step_by(8).map(|slot| image.read_u64(slot)));
 }
 
 /// What a subtree contributes to its parent. A count past `u32::MAX`
@@ -177,16 +216,18 @@ struct Summary {
 }
 
 impl Summary {
-    /// Adds a child's subtree; `None` on overflow.
-    fn add(&mut self, child: Summary) -> Option<()> {
+    /// Adds a child's subtree, one level `below` this node or, for a
+    /// memo group's top-level node, on its level; `None` on overflow.
+    fn add(&mut self, child: Summary, below: bool) -> Option<()> {
         self.leaves = self.leaves.checked_add(child.leaves)?;
         self.visits = self.visits.checked_add(child.visits)?;
-        self.height = self.height.max(child.height.checked_add(1)?);
+        self.height = self.height.max(child.height.checked_add(u32::from(below))?);
         Some(())
     }
 }
 
-/// One memoized node. Node 0 is the root slots.
+/// One memoized node. Node 0 is the root slots, and nodes `1..=g` the
+/// root's `g` memo groups.
 #[derive(Debug)]
 struct Node {
     addr: Addr,
@@ -223,7 +264,7 @@ struct Link {
     next: u32,
 }
 
-/// A page the memo's nodes lie on, as the last verified image had it.
+/// A page the memo's nodes lie on, as the last image checked had it.
 #[derive(Debug)]
 struct Pinned {
     pin: PinnedPage,
@@ -242,7 +283,7 @@ fn push<T>(v: &mut Vec<T>, x: T) -> u32 {
     (v.len() - 1) as u32
 }
 
-/// The last verified image's walk (see the module docs).
+/// The walk of the last image checked (see the module docs).
 #[derive(Debug, Default)]
 struct Memo {
     nodes: Vec<Node>,
@@ -341,15 +382,30 @@ enum Stop {
     Retry,
 }
 
+/// What a [`Frame`] lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A node's children.
+    Node,
+    /// The root slots.
+    Root,
+    /// The root's memo groups, not through `Workspace::kids`.
+    Groups,
+    /// One memo group's root slots.
+    Group,
+}
+
 /// A node the walk is on.
 #[derive(Debug)]
 struct Frame {
     /// Its memo index (unused by a walk without a memo).
     node: u32,
+    kind: Kind,
     /// Depth of its children.
     depth: u32,
     key: u32,
-    /// The root's child it descends from ([`NIL`] for the root slots).
+    /// For a node, the root slot it descends from; for root slots, the
+    /// index of the slot its first child is read from.
     top: u32,
     /// Its children: `Workspace::kids[start..end]`, the next at `next`.
     start: u32,
@@ -359,6 +415,32 @@ struct Frame {
     sum: Summary,
     /// A local error to report once the listed children are walked.
     err: Option<String>,
+}
+
+impl Frame {
+    /// A frame of `kind` over the children `kids[start..]` listed so far.
+    fn new(
+        kind: Kind,
+        node: u32,
+        depth: u32,
+        key: u32,
+        top: u32,
+        start: usize,
+        end: usize,
+    ) -> Self {
+        Self {
+            node,
+            kind,
+            depth,
+            key,
+            top,
+            start: start as u32,
+            next: start as u32,
+            end: end as u32,
+            sum: Summary::default(),
+            err: None,
+        }
+    }
 }
 
 /// A memo node's record from before the current walk entered it.
@@ -395,10 +477,15 @@ pub(crate) struct Walker<S> {
     budget: u64,
     memo: Memo,
     work: Workspace,
-    /// True when the last check verified. A memo is built only after
-    /// one did, so a walker checked once, or one whose images keep
-    /// failing, walks exactly as the full walk does.
+    /// True once a check verified. A memo is built only after one did,
+    /// so a walker checked once, or one whose images have all failed,
+    /// walks exactly as the full walk does.
     verified: bool,
+}
+
+/// True for a memo node whose summary holds in check `generation`.
+fn clean(n: &Node, generation: u32) -> bool {
+    n.dirty != STALE && n.dirty != generation
 }
 
 impl<S: Shape> Walker<S> {
@@ -421,7 +508,7 @@ impl<S: Shape> Walker<S> {
     /// The first inconsistency a full walk finds.
     pub(crate) fn check(&mut self, image: &NvmImage) -> Result<u64, String> {
         let verdict = self.verify(image);
-        self.verified = verdict.is_ok();
+        self.verified |= verdict.is_ok();
         verdict
     }
 
@@ -446,35 +533,34 @@ impl<S: Shape> Walker<S> {
         if kept > 0 {
             self.diff(image);
             let root = &self.memo.nodes[0];
-            if root.dirty != self.memo.generation {
+            if clean(root, self.memo.generation) {
                 let leaves = u64::from(root.sum.leaves);
                 self.commit(image, kept);
                 return Ok(leaves);
             }
         }
-        match self.walk(image, true) {
-            Ok(leaves) => {
-                self.commit(image, kept);
-                if kept == 0 {
-                    // Only a few nodes are walked per check from now on.
-                    self.memo.built = self.memo.entries();
-                    self.work = Workspace::default();
-                }
-                Ok(leaves)
-            }
-            Err(stop) => {
+        let verdict = match self.walk(image, true) {
+            Ok(leaves) => Ok(leaves),
+            Err(Stop::Corrupt(err)) => Err(err),
+            Err(Stop::Retry) => {
                 self.forget(kept);
-                let Stop::Corrupt(err) = stop else {
-                    let full = self.full_walk(image);
-                    if full.is_ok() {
-                        // A memo the full walk contradicts is not kept.
-                        self.memo = Memo::default();
-                    }
-                    return full;
-                };
-                Err(err)
+                let full = self.full_walk(image);
+                if full.is_ok() {
+                    // A memo the full walk contradicts is not kept.
+                    self.memo = Memo::default();
+                }
+                return full;
             }
+        };
+        // A failed walk moves the memo to this image too: what it summed
+        // holds, and what it left open is stale (see `commit`).
+        self.commit(image, kept);
+        if kept == 0 {
+            // Only a few nodes are walked per check from now on.
+            self.memo.built = self.memo.entries();
+            self.work = Workspace::default();
         }
+        verdict
     }
 
     /// Marks the memo nodes on blocks `image` changed, and their
@@ -507,12 +593,20 @@ impl<S: Shape> Walker<S> {
         }
     }
 
-    /// Makes the verified walk of `image` the memo. Nodes past the first
-    /// `kept` are new to it.
+    /// Makes the walk of `image` the memo, whether it verified or stopped
+    /// at an inconsistency. Nodes past the first `kept` are new to it.
+    ///
+    /// A node whose subtree the walk summed keeps its new summary. One the
+    /// walk entered but left open — the failing node and its ancestors —
+    /// is stale, and so is a changed node the walk never reached: it is
+    /// unreachable now, or lies past the inconsistency. Every other node
+    /// lies on blocks this image did not change, above none that did, so
+    /// its summary holds; the moved pages are pinned as `image` has them.
     fn commit(&mut self, image: &NvmImage, kept: usize) {
         let (s, memo) = (&self.work, &mut self.memo);
         for &i in &s.walked {
-            memo.nodes[i as usize].dirty = CLEAN;
+            let n = &mut memo.nodes[i as usize];
+            n.dirty = if n.walked & DONE != 0 { CLEAN } else { STALE };
             if i as usize >= kept {
                 memo.link_blocks(i, 0, image);
             }
@@ -523,7 +617,6 @@ impl<S: Shape> Walker<S> {
         for &(child, parent) in &s.edges {
             memo.link_parent(child, parent);
         }
-        // Changed nodes no walk reached are unreachable now.
         for &i in &s.dirty {
             let n = &mut memo.nodes[i as usize];
             if n.dirty == memo.generation {
@@ -537,7 +630,7 @@ impl<S: Shape> Walker<S> {
         }
     }
 
-    /// Drops a failed walk's records: restores the memo nodes it
+    /// Drops an undecided walk's records: restores the memo nodes it
     /// overwrote and removes those it added past the first `kept`.
     fn forget(&mut self, kept: usize) {
         let memo = &mut self.memo;
@@ -562,8 +655,10 @@ impl<S: Shape> Walker<S> {
     }
 
     /// Walks `image` depth first from the root slots. With `memo`, clean
-    /// memo nodes contribute their summaries unwalked, and every walked
-    /// node's record is overwritten.
+    /// memo nodes contribute their summaries unwalked, every walked
+    /// node's record is overwritten, and root slots spanning more than
+    /// one block are walked group by group: one memo node per block,
+    /// which neither counts as a visit nor adds a level.
     fn walk(&mut self, image: &NvmImage, memo: bool) -> Result<u64, Stop> {
         let Self {
             shape,
@@ -577,29 +672,44 @@ impl<S: Shape> Walker<S> {
         let mut image = image.reader();
         s.frames.clear();
         s.kids.clear();
-        let (slots, root) = shape.root(&mut image, &mut s.kids);
+        let root = shape.root();
+        let groups = if memo { root.groups() } else { 0 };
         if memo {
             if kept == 0 {
-                push(&mut m.nodes, Node::new(slots));
+                push(&mut m.nodes, Node::new(root.addr));
+                for g in 0..groups {
+                    push(&mut m.nodes, Node::new(root.group(g).1));
+                }
             }
-            enter(m, s, 0, &root, kept).ok_or(Stop::Retry)?;
+            let local = Local {
+                span: if groups > 0 { 0 } else { 8 * root.slots },
+                leaves: 0,
+                key: root.key,
+            };
+            enter(m, s, 0, &local, kept).ok_or(Stop::Retry)?;
         }
-        s.frames.push(Frame {
-            node: 0,
-            depth: 0,
-            key: root.key,
-            top: NIL,
-            start: 0,
-            next: 0,
-            end: s.kids.len() as u32,
-            sum: Summary::default(),
-            err: None,
-        });
+        if groups > 0 {
+            let groups = groups as usize;
+            s.frames
+                .push(Frame::new(Kind::Groups, 0, 0, root.key, 0, 0, groups));
+        } else {
+            list_slots(
+                &mut image,
+                root.addr,
+                root.addr + 8 * root.slots,
+                &mut s.kids,
+            );
+            let end = s.kids.len();
+            s.frames
+                .push(Frame::new(Kind::Root, 0, 0, root.key, 0, 0, end));
+        }
         let (mut leaves, mut visits) = (0u64, 0u64);
         while let Some(f) = s.frames.last_mut() {
             if f.next == f.end {
                 let f = s.frames.pop().expect("a frame is on top");
-                s.kids.truncate(f.start as usize);
+                if f.kind != Kind::Groups {
+                    s.kids.truncate(f.start as usize);
+                }
                 if let Some(err) = f.err {
                     return Err(Stop::Corrupt(shape.under(f.top as usize, err)));
                 }
@@ -607,23 +717,59 @@ impl<S: Shape> Walker<S> {
                     let n = &mut m.nodes[f.node as usize];
                     (n.sum, n.walked) = (f.sum, generation | DONE);
                     if let Some(parent) = s.frames.last_mut() {
-                        parent.sum.add(f.sum).ok_or(Stop::Retry)?;
+                        let below = parent.kind != Kind::Group;
+                        parent.sum.add(f.sum, below).ok_or(Stop::Retry)?;
                         s.edges.push((f.node, parent.node));
                     }
                 }
                 continue;
             }
+            if f.kind == Kind::Groups {
+                let (g, depth, key) = (f.next, f.depth, f.key);
+                f.next += 1;
+                let node = 1 + g;
+                let n = &m.nodes[node as usize];
+                if clean(n, generation) {
+                    let sum = n.sum;
+                    leaves += u64::from(sum.leaves);
+                    visits += u64::from(sum.visits);
+                    if visits > *budget
+                        || u64::from(depth) + u64::from(sum.height) > u64::from(S::MAX_DEPTH)
+                    {
+                        return Err(Stop::Retry);
+                    }
+                    f.sum.add(sum, true).ok_or(Stop::Retry)?;
+                    s.edges.push((node, 0));
+                    continue;
+                }
+                let (first, from, to) = root.group(g);
+                let local = Local {
+                    span: to - from,
+                    leaves: 0,
+                    key,
+                };
+                enter(m, s, node, &local, kept).ok_or(Stop::Retry)?;
+                let start = s.kids.len();
+                list_slots(&mut image, from, to, &mut s.kids);
+                let end = s.kids.len();
+                s.frames
+                    .push(Frame::new(Kind::Group, node, depth, key, first, start, end));
+                continue;
+            }
             let c = s.kids[f.next as usize];
-            let top = if f.top == NIL {
-                f.next - f.start
+            let slots = f.kind != Kind::Node;
+            let top = if slots {
+                f.top + f.next - f.start
             } else {
                 f.top
             };
             f.next += 1;
-            if shape.is_null(c) {
+            // An empty root slot names no node.
+            if shape.is_null(c) || (slots && c == 0) {
                 continue;
             }
             let (depth, parent_key, parent) = (f.depth, f.key, f.node);
+            let below = f.kind != Kind::Group;
             if !memo && f.next == f.end && f.err.is_none() {
                 // The parent's last child: nothing is left to do in the
                 // parent, so a chain walks in constant space.
@@ -648,7 +794,7 @@ impl<S: Shape> Walker<S> {
                 let known = if n.walked & !DONE == generation {
                     // Reached again: a shared child, or a cycle.
                     (n.walked & DONE != 0).then_some((n.sum, n.key))
-                } else if n.dirty != STALE && n.dirty != generation {
+                } else if clean(n, generation) {
                     Some((n.sum, n.key))
                 } else {
                     None
@@ -666,7 +812,7 @@ impl<S: Shape> Walker<S> {
                     }
                     shape.edge(parent_key, c, key).map_err(wrap)?;
                     let parent_frame = s.frames.last_mut().expect("a memo walk keeps parents");
-                    parent_frame.sum.add(sum).ok_or(Stop::Retry)?;
+                    parent_frame.sum.add(sum, below).ok_or(Stop::Retry)?;
                     s.edges.push((node, parent));
                     continue;
                 }
@@ -677,21 +823,15 @@ impl<S: Shape> Walker<S> {
                     return Err(wrap(BUDGET_SPENT.to_owned()));
                 }
             }
-            let start = s.kids.len() as u32;
+            let start = s.kids.len();
             let local = match shape.visit(&mut image, c, &mut s.kids) {
                 Ok(local) => local,
-                Err(err) if s.kids.len() as u32 > start => {
-                    s.frames.push(Frame {
-                        node,
-                        depth: depth.saturating_add(1),
-                        key: 0,
-                        top,
-                        start,
-                        next: start,
-                        end: s.kids.len() as u32,
-                        sum: Summary::default(),
-                        err: Some(err),
-                    });
+                Err(err) if s.kids.len() > start => {
+                    let end = s.kids.len();
+                    let depth = depth.saturating_add(1);
+                    let mut f = Frame::new(Kind::Node, node, depth, 0, top, start, end);
+                    f.err = Some(err);
+                    s.frames.push(f);
                     continue;
                 }
                 Err(err) => return Err(wrap(err)),
@@ -704,26 +844,25 @@ impl<S: Shape> Walker<S> {
             }
             shape.edge(parent_key, c, local.key).map_err(wrap)?;
             leaves += local.leaves;
-            let mut sum = Summary::default();
+            let end = s.kids.len();
+            let mut f = Frame::new(
+                Kind::Node,
+                node,
+                depth.saturating_add(1),
+                local.key,
+                top,
+                start,
+                end,
+            );
             if memo {
                 enter(m, s, node, &local, kept).ok_or(Stop::Retry)?;
-                sum = Summary {
+                f.sum = Summary {
                     leaves: u32::try_from(local.leaves).map_err(|_| Stop::Retry)?,
                     visits: 1,
                     height: 0,
                 };
             }
-            s.frames.push(Frame {
-                node,
-                depth: depth.saturating_add(1),
-                key: local.key,
-                top,
-                start,
-                next: start,
-                end: s.kids.len() as u32,
-                sum,
-                err: None,
-            });
+            s.frames.push(f);
         }
         Ok(leaves)
     }

@@ -1,0 +1,134 @@
+//! Crash images built on the last image against the full build.
+//!
+//! `CrashSweep::crash` builds each fresh image on the last one of the
+//! same battery state, keeping every page whose media page and overlay
+//! writes are unchanged. Each image it returns must equal
+//! `System::crash_image` at the same point byte for byte. Checked here at
+//! every point of the crashfuzz grids, in both battery states, and op by
+//! op on a two-core machine whose cores store to one word.
+//!
+//! The non-smoke grid is `#[ignore]`d; run it in release with
+//! `cargo test --release --test image_basis -- --include-ignored`.
+
+use bbb::core::{ByteStore, Op, PersistencyMode, Workload};
+use bbb::crashfuzz::{
+    lost_updates_observable, reference_run, CrashSweep, GridSpec, Point, SweepConfig,
+    CRASHFUZZ_SEED,
+};
+use bbb::sim::{AddressMap, SimConfig};
+use bbb::workloads::suite::with_epoch_barriers;
+use bbb::workloads::{make_workload, WorkloadKind, WorkloadParams};
+
+/// Every configuration `crashfuzz` sweeps with `params` and `grid`.
+fn configs(params: WorkloadParams, grid: GridSpec) -> Vec<SweepConfig> {
+    let cfg = SimConfig::default();
+    let mut out = Vec::new();
+    for kind in WorkloadKind::ALL {
+        for mode in PersistencyMode::ALL {
+            out.push(SweepConfig::paper_discipline(
+                kind, mode, &cfg, params, grid,
+            ));
+        }
+        if lost_updates_observable(kind) {
+            for mode in [PersistencyMode::Pmem, PersistencyMode::Bep] {
+                out.push(SweepConfig::lossy(kind, mode, &cfg, params, grid));
+            }
+        }
+    }
+    out
+}
+
+/// Asserts that `engine`'s fresh images in both battery states equal the
+/// full build; returns how many it compared.
+fn compare(engine: &mut CrashSweep, case: &str) -> usize {
+    let mut compared = 0;
+    for battery_ok in [true, false] {
+        if let Some(image) = engine.crash(battery_ok) {
+            let full = engine.system().crash_image(battery_ok);
+            assert!(image == full, "{case}, battery {battery_ok}");
+            compared += 1;
+        }
+    }
+    compared
+}
+
+fn grid_differential(params: WorkloadParams, grid: GridSpec) {
+    let (mut compared, mut copied) = (0, 0);
+    for cfg in configs(params, grid) {
+        let points = reference_run(&cfg).plan(&cfg.grid);
+        let mut feed = make_workload(cfg.workload, &cfg.cfg, cfg.params);
+        if cfg.epoch_barriers {
+            feed = with_epoch_barriers(feed);
+        }
+        let mut engine = CrashSweep::new(&cfg.cfg, cfg.mode, feed);
+        for stop in points.iter().map(|&p| Point::Cycle(p)).chain([Point::End]) {
+            engine.advance(stop);
+            compared += compare(&mut engine, &format!("{} at {stop:?}", cfg.label()));
+        }
+        copied += engine.finish().pages_copied;
+    }
+    assert!(compared > 1000, "{compared} images");
+    assert!(copied > 0, "the overlay landed on no media page");
+}
+
+#[test]
+fn smoke_grid_images_match_the_full_build() {
+    let grid = GridSpec {
+        seed: CRASHFUZZ_SEED,
+        ..GridSpec::smoke()
+    };
+    grid_differential(WorkloadParams::smoke(), grid);
+}
+
+#[test]
+#[ignore = "the non-smoke grid: run in release"]
+fn full_grid_images_match_the_full_build() {
+    let params = WorkloadParams {
+        initial: 2048,
+        per_core_ops: 256,
+        seed: 0xB0B,
+        instrument: false,
+    };
+    grid_differential(params, GridSpec::bounded(512, 128, CRASHFUZZ_SEED));
+}
+
+/// A feed with nothing to run: the ops come through `Point::Op`.
+struct Idle;
+
+impl Workload for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+
+    fn next_batch(&mut self, _core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+        None
+    }
+}
+
+#[test]
+fn cross_core_stores_to_one_word_image_as_in_full() {
+    // Without a battery-backed store buffer, stores reach the persistence
+    // domain only as the buffers drain; the cores' same-word stores must
+    // still land in commit order on a page kept from image to image.
+    let mut cfg = SimConfig::small_for_tests();
+    cfg.battery_backed_sb = false;
+    let a = AddressMap::new(&cfg).persistent_base();
+    for mode in PersistencyMode::ALL {
+        let mut engine = CrashSweep::new(&cfg, mode, Box::new(Idle));
+        let mut compared = 0;
+        for i in 0..64u64 {
+            let (core, word) = ((i % 2) as usize, a + 8 * (i % 3));
+            let op = match i % 8 {
+                5 => Op::Compute { cycles: 500 },
+                7 if mode.requires_flushes() => Op::Clwb { addr: word },
+                6 => Op::Fence,
+                _ => Op::store_u64(word + 4096 * (i % 5 / 4), 0x1000 + i),
+            };
+            engine.advance(Point::Op(core, op));
+            compared += compare(&mut engine, &format!("{mode}, op {i}"));
+        }
+        engine.advance(Point::End);
+        compared += compare(&mut engine, &format!("{mode}, end"));
+        assert!(compared >= 10, "{mode}: {compared} images");
+    }
+}

@@ -1,14 +1,16 @@
 //! The incremental recovery oracles against the full walk.
 //!
 //! A `RecoveryOracle` kept across the crash images of one run memoizes
-//! the last image that verified and walks again only the nodes on blocks
+//! the last image it checked and walks again only the nodes on blocks
 //! that changed. Its report — the recovered count and the failure text —
 //! must be the one a fresh oracle gives. Checked here on every fresh
 //! crash image of the crashfuzz grids for the crit-bit tree, R-tree,
 //! hash map and B-tree, one oracle per battery state as the sweep keeps
 //! them; on every hostile image of `hostile_trees.rs` after a memo was
-//! built on a valid image; and on a clean subtree pushed past the depth
-//! limit.
+//! built on a valid image; on a clean subtree pushed past the depth
+//! limit; on random sequences moving between valid and hostile images,
+//! arrays included, so the memo follows failing images; and on hash-map
+//! images that change one bucket block, up to the exact node budget.
 //!
 //! The non-smoke grid is `#[ignore]`d; run it in release with
 //! `cargo test --release --test oracle_memo -- --include-ignored`.
@@ -21,7 +23,7 @@ use bbb::crashfuzz::{
     CRASHFUZZ_SEED,
 };
 use bbb::mem::{ByteStore, NvmImage};
-use bbb::sim::SimConfig;
+use bbb::sim::{SimConfig, SplitMix64};
 use bbb::workloads::rtree::Rect;
 use bbb::workloads::suite::with_epoch_barriers;
 use bbb::workloads::{make_workload, RecoveryOracle, WorkloadKind, WorkloadParams};
@@ -161,7 +163,7 @@ fn hostile_images_after_a_memo_match_full_walks() {
             assert!(report.ok(), "{name}: {report}");
         }
         assert_eq!(oracle.check(&image), full(&image), "{name}");
-        // A failed image leaves the memo of the last valid one.
+        // The failed image moved the memo; the valid one is diffed against it.
         assert_eq!(oracle.check(&valid), full(&valid), "{name}: valid again");
         assert_eq!(oracle.check(&image), full(&image), "{name}: again");
     }
@@ -225,4 +227,236 @@ fn a_clean_subtree_pushed_past_the_depth_limit_fails_as_in_full() {
         .as_deref()
         .is_some_and(|e| e.contains("too deep")));
     assert_eq!(oracle.check(&deep), full);
+}
+
+/// Valid images of `kind` on the small machine, taken every `ops` ops of
+/// one run (the run length is no part of the layout).
+fn valid_run(kind: WorkloadKind, ops: u64, images: usize) -> Vec<NvmImage> {
+    let (cfg, params) = small();
+    let params = WorkloadParams {
+        per_core_ops: 256,
+        ..params
+    };
+    let mut w = make_workload(kind, &cfg, params);
+    let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
+    sys.prepare(w.as_mut());
+    (0..images)
+        .map(|_| {
+            sys.run(w.as_mut(), ops);
+            sys.crash_image(true)
+        })
+        .collect()
+}
+
+/// How a hostile word is spoiled, from its value and another pointer.
+type Spoil = fn(u64, u64) -> u64;
+
+/// A sequence of images moving between valid and hostile states of
+/// `kind`'s structure, each checked by one kept oracle and by a fresh one.
+/// Each image is one of four valid images of one run, with a random
+/// subset of six hostile words: a pointer zeroed, moved into its node or
+/// aimed at another pointer's node, or a word zeroed or with a bit
+/// flipped. The kept oracle thus sees a hostile image again right after it,
+/// an image that drops an early inconsistency but keeps changes past it,
+/// and a valid image after several failures.
+fn random_walk_matches_full_walks(kind: WorkloadKind, seed: u64) {
+    let (cfg, params) = small();
+    let valid = valid_run(kind, 150, 4);
+    let base = hostile::map().persistent_base();
+    let words: Vec<(u64, u64)> = valid[0]
+        .as_store()
+        .iter_pages()
+        .filter(|&(page, _)| page >= base)
+        .flat_map(|(page, _)| (page..page + 4096).step_by(8))
+        .map(|a| (a, valid[0].read_u64(a)))
+        .filter(|&(_, v)| v != 0)
+        .collect();
+    let map = hostile::map();
+    let pointers: Vec<(u64, u64)> = words
+        .iter()
+        .copied()
+        .filter(|&(_, v)| map.is_persistent(v) && v % 8 == 0)
+        .collect();
+    let pointers = if pointers.is_empty() {
+        &words
+    } else {
+        &pointers
+    };
+    let mut rng = SplitMix64::new(seed);
+    let mut pick = |from: &[(u64, u64)]| from[rng.next_below(from.len() as u64) as usize];
+    // How each hostile word is spoiled, from its value and another
+    // pointer; the first flag picks a pointer word.
+    let spoils: [(bool, Spoil); 6] = [
+        (true, |_, _| 0),
+        (false, |v, _| v ^ 1 << 50),
+        (true, |v, _| v + 8),
+        (false, |_, _| 0),
+        (true, |_, other| other),
+        (false, |v, _| v ^ 1),
+    ];
+    let hostile: Vec<_> = spoils
+        .into_iter()
+        .map(|(pointer, spoil)| {
+            let at = pick(if pointer { pointers } else { &words }).0;
+            (at, pick(pointers).1, spoil)
+        })
+        .collect();
+    let mut rng = SplitMix64::new(seed ^ 0xFF);
+    let mut kept = RecoveryOracle::new(kind, &cfg, params);
+    let (mut passed, mut failed) = (0, 0);
+    let mut at = 0;
+    for step in 0..160 {
+        if rng.next_below(3) == 0 {
+            at = rng.next_below(4) as usize;
+        }
+        let mask = match step {
+            0 | 1 => 0,
+            _ if rng.next_below(2) == 0 => 0,
+            _ => rng.next_below(64) & rng.next_below(64),
+        };
+        let mut store = valid[at].as_store().clone();
+        for (i, &(a, other, spoil)) in hostile.iter().enumerate() {
+            if mask & 1 << i != 0 {
+                store.write_u64(a, spoil(store.read_u64(a), other));
+            }
+        }
+        let image = NvmImage::from_store(store);
+        let full = RecoveryOracle::new(kind, &cfg, params).check(&image);
+        assert_eq!(
+            kept.check(&image),
+            full,
+            "{} step {step}: image {at}, hostile {mask:#x}",
+            kind.name()
+        );
+        if full.ok() {
+            passed += 1;
+        } else {
+            failed += 1;
+        }
+    }
+    assert!(
+        passed > 10 && failed > 10,
+        "{}: {passed} ok, {failed} failed",
+        kind.name()
+    );
+}
+
+#[test]
+fn images_moving_between_valid_and_hostile_match_full_walks() {
+    let kinds = MEMO_KINDS.into_iter().chain([
+        WorkloadKind::MutateNC,
+        WorkloadKind::MutateC,
+        WorkloadKind::SwapNC,
+        WorkloadKind::SwapC,
+    ]);
+    for (i, kind) in kinds.enumerate() {
+        for seed in 0..4 {
+            random_walk_matches_full_walks(kind, 0x5EED_0000 + 16 * i as u64 + seed);
+        }
+    }
+}
+
+/// A hash map on the small machine whose first `shared` buckets name one
+/// `chain`-node chain and whose last bucket names its own `tail`-node
+/// chain.
+fn hashmap_chains(shared: u64, chain: u64, tail: u64) -> NvmImage {
+    let buckets = hostile::map().persistent_base();
+    let mut store = ByteStore::new();
+    let mut lay = |at: u64, nodes: u64| {
+        for k in 0..nodes {
+            let node = at + 24 * k;
+            store.write_u64(node, k + 1);
+            store.write_u64(node + 8, (k + 1) * 7);
+            let next = if k + 1 < nodes { node + 24 } else { 0 };
+            store.write_u64(node + 16, next);
+        }
+    };
+    let (a, c) = (buckets + 4096, buckets + 4096 + 24 * chain + 64);
+    lay(a, chain);
+    lay(c, tail);
+    for i in 0..shared {
+        store.write_u64(buckets + 8 * i, a);
+    }
+    store.write_u64(buckets + 8 * (hostile::BUCKETS - 1), c);
+    NvmImage::from_store(store)
+}
+
+#[test]
+fn hashmap_bucket_block_changes_match_full_walks() {
+    let (cfg, params) = small();
+    let kind = WorkloadKind::Hashmap;
+    let full = |image: &NvmImage| RecoveryOracle::new(kind, &cfg, params).check(image);
+    let mut kept = RecoveryOracle::new(kind, &cfg, params);
+    let valid = valid_image(kind);
+    let buckets = hostile::map().persistent_base();
+    for _ in 0..2 {
+        assert!(kept.check(&valid).ok());
+    }
+    let total = full(&valid).recovered;
+    for bucket in [0, 13, 37, hostile::BUCKETS - 1] {
+        let slot = buckets + 8 * bucket;
+        let head = valid.read_u64(slot);
+        assert_ne!(head, 0, "bucket {bucket} holds a chain");
+        let with = |value: u64| {
+            let mut store = valid.as_store().clone();
+            store.write_u64(slot, value);
+            NvmImage::from_store(store)
+        };
+        // Unlinking the head leaves a valid map one node short.
+        let unlinked = with(valid.read_u64(head + 16));
+        assert_eq!(kept.check(&unlinked), full(&unlinked), "bucket {bucket}");
+        assert_eq!(full(&unlinked).recovered, total - 1);
+        for (what, bad) in [
+            ("wild", hostile::WILD),
+            ("uninitialized", buckets + 3 * 4096),
+        ] {
+            let image = with(bad);
+            let report = kept.check(&image);
+            assert_eq!(report, full(&image), "bucket {bucket}, {what}");
+            let prefix = format!("bucket {bucket}: ");
+            assert!(
+                report
+                    .failure
+                    .as_deref()
+                    .is_some_and(|e| e.starts_with(&prefix)),
+                "bucket {bucket}, {what}: {report}"
+            );
+            assert_eq!(
+                kept.check(&image),
+                full(&image),
+                "bucket {bucket}, {what} again"
+            );
+        }
+        assert_eq!(
+            kept.check(&valid),
+            full(&valid),
+            "bucket {bucket}: valid again"
+        );
+    }
+
+    // The node budget is the heap's bytes over 24: exactly that many
+    // visits verify, one more fails in the last bucket. Memo groups of
+    // buckets spend none of it.
+    let map = hostile::map();
+    let budget = (map.persistent_end() - map.persistent_base()) / 24;
+    let (shared, chain) = (52, 400);
+    let tail = budget - shared * chain;
+    let exact = hashmap_chains(shared, chain, tail);
+    let over = hashmap_chains(shared, chain, tail + 1);
+    let mut kept = RecoveryOracle::new(kind, &cfg, params);
+    for image in [&exact, &exact, &over, &exact, &over] {
+        assert_eq!(kept.check(image), full(image));
+    }
+    assert_eq!(full(&exact).recovered, budget);
+    let last = hostile::BUCKETS - 1;
+    assert_eq!(
+        full(&over).failure.as_deref(),
+        Some(
+            format!(
+                "bucket {last}: more nodes reachable than the persistent heap holds: shared \
+                 subtrees or a cycle"
+            )
+            .as_str()
+        )
+    );
 }
