@@ -218,10 +218,27 @@ impl ByteStore {
     }
 
     /// The shared page holding `addr`, if materialized (page-granular
-    /// access for [`crate::image::ImageReader`]'s memoized fast path).
+    /// access for [`crate::image::ImageReader`]'s memoized fast path and
+    /// [`crate::NvmImage::page`]).
     #[inline]
     pub(crate) fn page_for(&self, addr: Addr) -> Option<&Arc<Page>> {
         self.pages.get(&(addr >> PAGE_SHIFT))
+    }
+
+    /// The page holding `addr`, for writing in place: an absent page is
+    /// materialized zeroed, and a page shared with another store is copied
+    /// first, counted in [`Self::cow_page_copies`]. One write for
+    /// [`Self::version`], however many bytes the caller changes.
+    pub fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES] {
+        self.version += 1;
+        let slot = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Arc::new([0; PAGE_BYTES]));
+        if Arc::get_mut(slot).is_none() {
+            self.cow_page_copies += 1;
+        }
+        Arc::make_mut(slot)
     }
 
     /// Puts `page` at the page holding `addr`, as it is: the crash
@@ -458,6 +475,40 @@ mod tests {
     #[should_panic(expected = "materialized source page")]
     fn sharing_an_absent_page_panics() {
         ByteStore::new().share_page(&ByteStore::new(), 0x5000);
+    }
+
+    #[test]
+    fn page_mut_materializes_absent_pages_and_copies_shared_ones() {
+        // Absent: a zeroed page, no copy.
+        let mut m = ByteStore::new();
+        let page = m.page_mut(0x3008);
+        assert!(page.iter().all(|&b| b == 0));
+        page[8] = 0xAA;
+        assert_eq!(
+            (m.resident_pages(), m.cow_page_copies(), m.version()),
+            (1, 0, 1)
+        );
+        assert_eq!(m.read_u64(0x3008), 0xAA);
+
+        // Unshared: written in place, no copy; one version per call.
+        m.page_mut(0x3FFF)[PAGE_BYTES - 1] = 0xBB;
+        assert_eq!((m.cow_page_copies(), m.version()), (0, 2));
+        let mut last = [0u8; 1];
+        m.read(0x3FFF, &mut last);
+        assert_eq!(last, [0xBB]);
+
+        // Shared: copied once, keeping its bytes; the other holder keeps
+        // the old page.
+        let snap = m.clone();
+        let page = m.page_mut(0x3000);
+        assert_eq!(page[8], 0xAA);
+        page[8] = 0xCC;
+        assert_eq!((m.cow_page_copies(), m.version()), (1, 3));
+        m.page_mut(0x3000)[9] = 0xDD;
+        assert_eq!((m.cow_page_copies(), m.version()), (1, 4));
+        assert_eq!(m.read_u64(0x3008), 0xDDCC);
+        assert_eq!(snap.read_u64(0x3008), 0xAA);
+        assert_eq!((m.shared_pages(), snap.shared_pages()), (0, 0));
     }
 
     #[test]

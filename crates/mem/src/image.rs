@@ -54,6 +54,27 @@ impl NvmImage {
         self.store.read_block(block)
     }
 
+    /// The page holding `addr` as this image has it, for checkers that
+    /// read a page's fields straight from its bytes; `None` for an absent
+    /// page, which reads as all zeros.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
+    /// let mut media = ByteStore::new();
+    /// media.write_u64(0x1008, 7);
+    /// let image = NvmImage::from_store(media);
+    /// let page = image.page(0x1FFF).expect("resident");
+    /// assert_eq!(page.len(), PAGE_BYTES);
+    /// assert_eq!(page[8], 7);
+    /// assert!(image.page(0x2000).is_none());
+    /// ```
+    #[must_use]
+    pub fn page(&self, addr: Addr) -> Option<&[u8; PAGE_BYTES]> {
+        self.store.page_for(addr).map(|page| &**page)
+    }
+
     /// Borrows the underlying store (for bulk comparisons in tests).
     #[must_use]
     pub fn as_store(&self) -> &ByteStore {

@@ -210,28 +210,53 @@ impl KvLayout {
     #[must_use]
     pub fn slot_addr(&self, tenant: usize, idx: u64) -> Addr {
         let scattered = idx.wrapping_mul(SCATTER_MUL) & (self.cap_per_tenant - 1);
-        self.base + (tenant as u64 * self.cap_per_tenant + scattered) * SLOT_BYTES
+        self.position_addr(tenant, scattered)
     }
 
-    /// Every slot of the keyspace, insert headroom included, as
-    /// `(tenant, idx, slot_addr)` in ascending address order. Tenant
-    /// regions are contiguous, so the walk goes tenant by tenant; within
-    /// one it visits scattered positions `s = 0, 1, …`, whose key is
-    /// `idx = s·M⁻¹ mod cap` — the inverse of [`KvLayout::slot_addr`]'s
-    /// odd-multiplier scatter. Consecutive items share a page, which is
-    /// what lets set-up and the recovery oracle work page by page.
-    pub fn slots_by_address(&self) -> impl Iterator<Item = (usize, u64, Addr)> {
-        let Self {
-            base,
-            tenants,
-            cap_per_tenant: cap,
-            ..
-        } = *self;
-        (0..tenants).flat_map(move |tenant| {
-            let region = base + tenant as u64 * cap * SLOT_BYTES;
-            (0..cap).map(move |s| {
-                let idx = s.wrapping_mul(SCATTER_INV) & (cap - 1);
-                (tenant, idx, region + s * SLOT_BYTES)
+    /// Address of scattered position `s` of `tenant`'s region.
+    fn position_addr(&self, tenant: usize, s: u64) -> Addr {
+        self.base + (tenant as u64 * self.cap_per_tenant + s) * SLOT_BYTES
+    }
+
+    /// The key at scattered position `s` of a tenant's region:
+    /// `idx = s·M⁻¹ mod cap`, the inverse of [`KvLayout::slot_addr`]'s
+    /// odd-multiplier scatter.
+    #[must_use]
+    pub fn key_at(&self, s: u64) -> u64 {
+        s.wrapping_mul(SCATTER_INV) & (self.cap_per_tenant - 1)
+    }
+
+    /// Every slot of the keyspace, insert headroom included, as one
+    /// [`PageRun`] per page and tenant, in ascending address order.
+    /// Tenant regions are contiguous, so the walk goes tenant by tenant,
+    /// and within one over scattered positions `s = 0, 1, …`; a page that
+    /// two tenants' regions share yields one run for each. Set-up and the
+    /// recovery oracle both work a run at a time, one page lookup each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not slot-aligned ([`KvLayout::new`] aligns it).
+    pub fn page_runs(&self) -> impl Iterator<Item = PageRun> {
+        const PAGE: u64 = PAGE_BYTES as u64;
+        assert_eq!(self.base % SLOT_BYTES, 0, "slots are block-aligned");
+        let layout = *self;
+        (0..layout.tenants).flat_map(move |tenant| {
+            let mut first = 0;
+            std::iter::from_fn(move || {
+                (first < layout.cap_per_tenant).then(|| {
+                    let addr = layout.position_addr(tenant, first);
+                    let offset = addr % PAGE;
+                    let slots = ((PAGE - offset) / SLOT_BYTES).min(layout.cap_per_tenant - first);
+                    let run = PageRun {
+                        tenant,
+                        first,
+                        slots,
+                        page: addr - offset,
+                        offset: offset as usize,
+                    };
+                    first += slots;
+                    run
+                })
             })
         })
     }
@@ -245,8 +270,47 @@ impl KvLayout {
     /// Payload word for `(tenant, idx)` at `version`.
     #[must_use]
     pub fn payload_of(&self, tenant: usize, idx: u64, version: u64) -> u64 {
-        mix64(self.global_key(tenant, idx) ^ version.rotate_left(17))
+        payload_at(self.global_key(tenant, idx), version)
     }
+}
+
+/// Payload word of global key `key` at `version`.
+fn payload_at(key: u64, version: u64) -> u64 {
+    mix64(key ^ version.rotate_left(17))
+}
+
+/// One tenant's slots on one page ([`KvLayout::page_runs`]): scattered
+/// positions `first..first + slots` of `tenant`'s region, in address
+/// order, starting `offset` bytes into the page at `page`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageRun {
+    /// The tenant whose region holds the run.
+    pub tenant: usize,
+    /// Scattered position of the run's first slot.
+    pub first: u64,
+    /// Slots in the run (at least one).
+    pub slots: u64,
+    /// Base address of the page holding the run.
+    pub page: Addr,
+    /// Byte offset of the run's first slot within that page.
+    pub offset: usize,
+}
+
+impl PageRun {
+    /// The byte range of the run within its page.
+    #[must_use]
+    pub fn bytes(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.slots as usize * SLOT
+    }
+}
+
+/// [`SLOT_BYTES`] as a slice length.
+const SLOT: usize = SLOT_BYTES as usize;
+
+/// The little-endian word at field `i` (0 tag, 1 version, 2 payload) of a
+/// slot's bytes.
+fn field(slot: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(slot[8 * i..8 * i + 8].try_into().expect("8-byte field"))
 }
 
 /// Construction parameters for [`KvWorkload`].
@@ -362,41 +426,32 @@ impl Workload for KvWorkload {
         &self.name
     }
 
-    /// Populates the initial keys page by page: each page holding a live
-    /// slot is read into a local buffer, its live slots' tag, version and
-    /// payload words are overlaid, and it is stored back with one
-    /// full-page write. Bytes outside those 24-byte prefixes keep their
-    /// contents, and a page with no live slot is never written, so the
-    /// result — contents and resident pages alike — equals writing each
-    /// slot's three words in place.
+    /// Populates the initial keys page by page ([`KvLayout::page_runs`]):
+    /// each run holding a live slot takes its page once through
+    /// [`ByteStore::page_mut`] and has its live slots' tag, version and
+    /// payload words written straight into it. Bytes outside those
+    /// 24-byte prefixes keep their contents, and a page with no live slot
+    /// is never written, so the result — contents and resident pages
+    /// alike — equals writing each slot's three words in place.
     fn setup(&mut self, arch: &mut ByteStore) {
         let layout = self.layout;
-        let mut page = [0u8; PAGE_BYTES];
-        let mut page_base = None;
-        for (tenant, idx, slot) in layout.slots_by_address() {
-            if idx >= layout.initial_per_tenant {
+        let live = |s: u64| layout.key_at(s) < layout.initial_per_tenant;
+        for run in layout.page_runs() {
+            if !(run.first..run.first + run.slots).any(live) {
                 continue;
             }
-            let base = slot & !(PAGE_BYTES as u64 - 1);
-            if page_base != Some(base) {
-                if let Some(done) = page_base.replace(base) {
-                    arch.write(done, &page);
+            let page = &mut arch.page_mut(run.page)[run.bytes()];
+            for (s, slot) in (run.first..).zip(page.chunks_exact_mut(SLOT)) {
+                let idx = layout.key_at(s);
+                if idx >= layout.initial_per_tenant {
+                    continue;
                 }
-                arch.read(base, &mut page);
+                let key = layout.global_key(run.tenant, idx);
+                let words = [KV_TAG ^ key, 1, payload_at(key, 1)];
+                for (bytes, word) in slot.chunks_exact_mut(8).zip(words) {
+                    bytes.copy_from_slice(&word.to_le_bytes());
+                }
             }
-            // Slots are block-aligned, so the 24 bytes never straddle pages.
-            let off = (slot - base) as usize;
-            let words = [
-                layout.tag_of(tenant, idx),
-                1,
-                layout.payload_of(tenant, idx, 1),
-            ];
-            for (field, word) in page[off..off + 24].chunks_exact_mut(8).zip(words) {
-                field.copy_from_slice(&word.to_le_bytes());
-            }
-        }
-        if let Some(done) = page_base {
-            arch.write(done, &page);
         }
     }
 
@@ -415,9 +470,12 @@ impl Workload for KvWorkload {
 /// [`RACE_WINDOW`] of the recovered version word. Returns the number of
 /// live slots verified.
 ///
-/// Slots are visited in address order ([`KvLayout::slots_by_address`])
-/// through a page-memoizing [`NvmImage::reader`], so each page is looked
-/// up once rather than once per field.
+/// The walk goes page by page in address order ([`KvLayout::page_runs`]):
+/// each run looks its page up once ([`NvmImage::page`]; an absent page
+/// reads as zeros) and reads tag, version and payload straight from the
+/// page's bytes. The payload is tried against the version word itself
+/// before the rest of the window: that is the usual match, and it lies in
+/// the window, so trying it first changes no verdict.
 ///
 /// # Errors
 ///
@@ -425,41 +483,49 @@ impl Workload for KvWorkload {
 /// expected for uninstrumented PMEM images, never for battery-backed
 /// modes.
 pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, String> {
-    let mut reader = image.reader();
+    static ABSENT: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
     let mut recovered = 0u64;
-    for (tenant, idx, slot) in layout.slots_by_address() {
-        let tag = reader.read_u64(slot);
-        if tag == 0 {
-            // Never populated (insert headroom, or a torn insert whose
-            // publish-last tag did not land).
-            if idx < layout.initial_per_tenant {
+    for run in layout.page_runs() {
+        let tenant = run.tenant;
+        let page = image.page(run.page).unwrap_or(&ABSENT);
+        for (s, slot) in (run.first..).zip(page[run.bytes()].chunks_exact(SLOT)) {
+            let idx = layout.key_at(s);
+            let key = layout.global_key(tenant, idx);
+            let tag = field(slot, 0);
+            if tag == 0 {
+                // Never populated (insert headroom, or a torn insert whose
+                // publish-last tag did not land).
+                if idx < layout.initial_per_tenant {
+                    return Err(format!(
+                        "tenant {tenant} key {idx}: initial slot lost its tag"
+                    ));
+                }
+                continue;
+            }
+            if tag != KV_TAG ^ key {
+                let at = layout.position_addr(tenant, s);
                 return Err(format!(
-                    "tenant {tenant} key {idx}: initial slot lost its tag"
+                    "tenant {tenant} key {idx}: bad tag {tag:#x} at {at:#x}"
                 ));
             }
-            continue;
+            let (version, payload) = (field(slot, 1), field(slot, 2));
+            if version == 0 {
+                return Err(format!(
+                    "tenant {tenant} key {idx}: tagged slot at version 0"
+                ));
+            }
+            let consistent = payload_at(key, version) == payload || {
+                let lo = version.saturating_sub(RACE_WINDOW);
+                let hi = version.saturating_add(RACE_WINDOW);
+                (lo..=hi).any(|v| payload_at(key, v) == payload)
+            };
+            if !consistent {
+                return Err(format!(
+                    "tenant {tenant} key {idx}: payload {payload:#x} matches no version near {version}"
+                ));
+            }
+            recovered += 1;
         }
-        if tag != layout.tag_of(tenant, idx) {
-            return Err(format!(
-                "tenant {tenant} key {idx}: bad tag {tag:#x} at {slot:#x}"
-            ));
-        }
-        let version = reader.read_u64(slot + 8);
-        let payload = reader.read_u64(slot + 16);
-        if version == 0 {
-            return Err(format!(
-                "tenant {tenant} key {idx}: tagged slot at version 0"
-            ));
-        }
-        let lo = version.saturating_sub(RACE_WINDOW);
-        let hi = version.saturating_add(RACE_WINDOW);
-        let consistent = (lo..=hi).any(|v| layout.payload_of(tenant, idx, v) == payload);
-        if !consistent {
-            return Err(format!(
-                "tenant {tenant} key {idx}: payload {payload:#x} matches no version near {version}"
-            ));
-        }
-        recovered += 1;
     }
     Ok(recovered)
 }
@@ -528,10 +594,21 @@ mod tests {
         out
     }
 
+    /// The reference address walk: every slot of the keyspace, insert
+    /// headroom included, as `(tenant, idx, slot_addr)` in ascending
+    /// address order, each key computed from its scattered position.
+    fn slots_by_address(layout: &KvLayout) -> impl Iterator<Item = (usize, u64, Addr)> + '_ {
+        (0..layout.tenants).flat_map(move |tenant| {
+            let region = layout.base + tenant as u64 * layout.cap_per_tenant * SLOT_BYTES;
+            (0..layout.cap_per_tenant)
+                .map(move |s| (tenant, layout.key_at(s), region + s * SLOT_BYTES))
+        })
+    }
+
     #[test]
     fn address_walk_visits_every_slot_once_in_order() {
         for layout in layouts() {
-            let walk: Vec<(usize, u64, Addr)> = layout.slots_by_address().collect();
+            let walk: Vec<(usize, u64, Addr)> = slots_by_address(&layout).collect();
             assert_eq!(
                 walk.len() as u64,
                 layout.tenants as u64 * layout.cap_per_tenant
@@ -545,6 +622,28 @@ mod tests {
                     "{layout:?}: ({tenant}, {idx}) twice"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn page_runs_tile_the_address_walk() {
+        for layout in layouts() {
+            let mut walk = slots_by_address(&layout);
+            let mut last = None;
+            for run in layout.page_runs() {
+                assert!(run.slots > 0 && run.bytes().end <= PAGE_BYTES, "{run:?}");
+                // One run per page and tenant.
+                assert_ne!(
+                    last.replace((run.tenant, run.page)),
+                    Some((run.tenant, run.page))
+                );
+                for s in run.first..run.first + run.slots {
+                    let at = run.page + (run.offset + (s - run.first) as usize * SLOT) as u64;
+                    let key = (run.tenant, layout.key_at(s), at);
+                    assert_eq!(walk.next(), Some(key), "{layout:?} {run:?}");
+                }
+            }
+            assert_eq!(walk.next(), None, "{layout:?}");
         }
     }
 
@@ -575,6 +674,197 @@ mod tests {
                 "{layout:?}"
             );
             assert!(paged == reference, "{layout:?}: contents differ");
+        }
+    }
+
+    /// The reference oracle: the word-by-word walk of the reference
+    /// address order, one page-memoized read per field, the whole race
+    /// window scanned from its low end.
+    fn check_by_word(image: &NvmImage, layout: &KvLayout) -> Result<u64, String> {
+        let mut reader = image.reader();
+        let mut recovered = 0u64;
+        for (tenant, idx, slot) in slots_by_address(layout) {
+            let tag = reader.read_u64(slot);
+            if tag == 0 {
+                if idx < layout.initial_per_tenant {
+                    return Err(format!(
+                        "tenant {tenant} key {idx}: initial slot lost its tag"
+                    ));
+                }
+                continue;
+            }
+            if tag != layout.tag_of(tenant, idx) {
+                return Err(format!(
+                    "tenant {tenant} key {idx}: bad tag {tag:#x} at {slot:#x}"
+                ));
+            }
+            let version = reader.read_u64(slot + 8);
+            let payload = reader.read_u64(slot + 16);
+            if version == 0 {
+                return Err(format!(
+                    "tenant {tenant} key {idx}: tagged slot at version 0"
+                ));
+            }
+            let lo = version.saturating_sub(RACE_WINDOW);
+            let hi = version.saturating_add(RACE_WINDOW);
+            let consistent = (lo..=hi).any(|v| layout.payload_of(tenant, idx, v) == payload);
+            if !consistent {
+                return Err(format!(
+                    "tenant {tenant} key {idx}: payload {payload:#x} matches no version near {version}"
+                ));
+            }
+            recovered += 1;
+        }
+        Ok(recovered)
+    }
+
+    /// Publishes up to three inserted keys per tenant, each at a random
+    /// version with a payload inside its race window.
+    fn publish_inserts(layout: &KvLayout, store: &mut ByteStore, rng: &mut SplitMix64) {
+        for tenant in 0..layout.tenants {
+            let end = layout.cap_per_tenant.min(layout.initial_per_tenant + 3);
+            for idx in layout.initial_per_tenant..end {
+                let slot = layout.slot_addr(tenant, idx);
+                let version = 1 + rng.next_below(100);
+                let v = (version + rng.next_below(RACE_WINDOW + 1))
+                    .saturating_sub(rng.next_below(RACE_WINDOW + 1));
+                store.write_u64(slot + 16, layout.payload_of(tenant, idx, v));
+                store.write_u64(slot + 8, version);
+                store.write_u64(slot, layout.tag_of(tenant, idx));
+            }
+        }
+    }
+
+    /// `store` with the page holding `addr` absent.
+    fn without_page(store: &ByteStore, addr: Addr) -> ByteStore {
+        let gone = addr & !(PAGE_BYTES as u64 - 1);
+        let mut out = ByteStore::new();
+        for (page, bytes) in store.iter_pages().filter(|&(page, _)| page != gone) {
+            out.write(page, bytes);
+        }
+        out
+    }
+
+    /// `clean` with zero to three corruptions: random words, zeroed tags,
+    /// versions 0 and near `u64::MAX`, payloads at version ±16 (inside
+    /// the race window) and ±17 (just outside), tags published on
+    /// headroom slots, zeroed and absent pages.
+    fn corrupt(layout: &KvLayout, clean: &ByteStore, rng: &mut SplitMix64) -> NvmImage {
+        let mut store = clean.clone();
+        for _ in 0..rng.next_below(4) {
+            let tenant = rng.next_index(layout.tenants);
+            let idx = if rng.chance(1, 2) {
+                rng.next_below(layout.initial_per_tenant)
+            } else {
+                rng.next_below(layout.cap_per_tenant)
+            };
+            let slot = layout.slot_addr(tenant, idx);
+            let version = store.read_u64(slot + 8);
+            let payload = |v: u64| layout.payload_of(tenant, idx, v);
+            match rng.next_below(9) {
+                0 => store.write_u64(slot + 8 * rng.next_below(8), rng.next_u64()),
+                1 => store.write_u64(slot, 0),
+                2 => store.write_u64(slot + 8, 0),
+                3 => {
+                    let top = u64::MAX - rng.next_below(2 * RACE_WINDOW + 2);
+                    store.write_u64(slot + 8, top);
+                    if rng.chance(1, 2) {
+                        let v = u64::MAX - rng.next_below(3 * RACE_WINDOW);
+                        store.write_u64(slot + 16, payload(v));
+                    }
+                }
+                4 => {
+                    let d = RACE_WINDOW + rng.next_below(2);
+                    let v = if rng.chance(1, 2) {
+                        version.wrapping_add(d)
+                    } else {
+                        version.wrapping_sub(d)
+                    };
+                    store.write_u64(slot + 16, payload(v));
+                }
+                5 => {
+                    let v = 1 + rng.next_below(40);
+                    store.write_u64(slot + 8, v);
+                    let w =
+                        (v + rng.next_below(2 * RACE_WINDOW + 4)).saturating_sub(RACE_WINDOW + 2);
+                    store.write_u64(slot + 16, payload(w));
+                    store.write_u64(slot, layout.tag_of(tenant, idx));
+                }
+                6 => store.write(slot & !(PAGE_BYTES as u64 - 1), &[0; PAGE_BYTES]),
+                _ => store = without_page(&store, slot),
+            }
+        }
+        NvmImage::from_store(store)
+    }
+
+    /// A clean image of `layout` with some inserts published.
+    fn clean_image(layout: &KvLayout, rng: &mut SplitMix64) -> ByteStore {
+        let mut store = ByteStore::new();
+        setup_per_slot(layout, &mut store);
+        publish_inserts(layout, &mut store, rng);
+        store
+    }
+
+    #[test]
+    fn page_walk_matches_the_word_by_word_oracle() {
+        let mut rng = SplitMix64::new(0x0DD5_EED5);
+        let (mut images, mut failing) = (0, 0);
+        for layout in layouts() {
+            let clean = clean_image(&layout, &mut rng);
+            for _ in 0..24 {
+                let image = corrupt(&layout, &clean, &mut rng);
+                let want = check_by_word(&image, &layout);
+                assert_eq!(check_kv_recovery(&image, &layout), want, "{layout:?}");
+                images += 1;
+                failing += usize::from(want.is_err());
+            }
+        }
+        // Both verdicts, in bulk.
+        assert!(
+            failing > images / 4 && failing < images * 3 / 4,
+            "{failing} of {images}"
+        );
+    }
+
+    /// The default-scale geometry: set-up equals the per-slot writer,
+    /// and the page walk agrees with the reference oracle on corrupted
+    /// images. Run in release by CI (`--include-ignored`).
+    #[test]
+    #[ignore = "1M-key geometry; slow in debug builds"]
+    fn full_geometry_setup_and_oracle_match_the_references() {
+        // The heap `paper_config` sizes for 1M keys and 2 000 ops per core.
+        let cfg = SimConfig {
+            persistent_heap_bytes: 1 << 30,
+            ..SimConfig::default()
+        };
+        let params = crate::suite::WorkloadParams {
+            initial: 1_000_000,
+            per_core_ops: 2_000,
+            ..crate::suite::WorkloadParams::smoke()
+        };
+        let layout = crate::suite::kv_geometry(&cfg, params);
+        assert_eq!((layout.tenants, layout.initial_per_tenant), (4, 250_000));
+
+        let mut reference = ByteStore::new();
+        setup_per_slot(&layout, &mut reference);
+        let mut paged = ByteStore::new();
+        let spec = KvSpec {
+            keys: params.initial,
+            tenants: layout.tenants,
+            ..spec(KvMix::A)
+        };
+        KvWorkload::new(layout, spec, cfg.cores).setup(&mut paged);
+        assert_eq!(paged.resident_pages(), reference.resident_pages());
+        assert!(paged == reference, "set-up contents differ");
+
+        let mut rng = SplitMix64::new(0xF011_0E0F);
+        let clean = clean_image(&layout, &mut rng);
+        for _ in 0..8 {
+            let image = corrupt(&layout, &clean, &mut rng);
+            assert_eq!(
+                check_kv_recovery(&image, &layout),
+                check_by_word(&image, &layout)
+            );
         }
     }
 

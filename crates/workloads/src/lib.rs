@@ -48,7 +48,7 @@ pub use btree::BtreeWorkload;
 pub use builder::OpBuilder;
 pub use ctree::CtreeWorkload;
 pub use hashmap::HashmapWorkload;
-pub use kv::{check_kv_recovery, KvLayout, KvMix, KvSpec, KvWorkload};
+pub use kv::{check_kv_recovery, KvLayout, KvMix, KvSpec, KvWorkload, PageRun};
 pub use linkedlist::LinkedList;
 pub use locks::InsertLock;
 pub use palloc::Palloc;

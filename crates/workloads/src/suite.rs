@@ -42,7 +42,7 @@ const SERVER_ZIPF_S: f64 = 0.99;
 
 /// KV slot-table geometry for `(cfg, params)` — construction and recovery
 /// must agree on it, exactly like `pstore_ring_base`.
-fn kv_geometry(cfg: &SimConfig, params: WorkloadParams) -> KvLayout {
+pub(crate) fn kv_geometry(cfg: &SimConfig, params: WorkloadParams) -> KvLayout {
     let map = AddressMap::new(cfg);
     let base = map.persistent_base() + root_reserve(cfg);
     // Headroom for the worst case where every request inserts.
