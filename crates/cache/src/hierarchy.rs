@@ -72,6 +72,11 @@ pub struct CacheHierarchy {
     /// an unchanged version proves unchanged dirty contents; the converse
     /// need not hold.
     version: u64,
+    /// Whether the same accesses report the block, and every victim they
+    /// evict, to the memory port ([`MemoryPort::note_change`]): the
+    /// blocks whose crash image may have changed where dirty lines
+    /// survive a crash (eADR). On unless the owner turns it off.
+    change_notes: bool,
 }
 
 impl CacheHierarchy {
@@ -87,6 +92,22 @@ impl CacheHierarchy {
             noc: cfg.noc_hop,
             counters: Counters::default(),
             version: 0,
+            change_notes: true,
+        }
+    }
+
+    /// Turns the change notes to the memory port on or off (see
+    /// [`MemoryPort::note_change`]): a machine whose caches are outside
+    /// its persistence domain need not report their changes.
+    pub fn set_change_notes(&mut self, on: bool) {
+        self.change_notes = on;
+    }
+
+    /// Reports `block` to `mem` as changed, when notes are on.
+    #[inline]
+    fn note(&self, mem: &mut dyn MemoryPort, block: BlockAddr) {
+        if self.change_notes {
+            mem.note_change(block);
         }
     }
 
@@ -144,6 +165,7 @@ impl CacheHierarchy {
             }
         }
         self.version += 1;
+        self.note(mem, block);
         self.counters.l1_misses.inc();
         let mut t = now + self.l1_lat + self.noc + self.l2_lat;
 
@@ -240,6 +262,7 @@ impl CacheHierarchy {
     ) -> AccessResult {
         assert!(offset + bytes.len() <= BLOCK_BYTES, "store exceeds block");
         self.version += 1;
+        self.note(mem, block);
         // Fast path: the requester already owns the line — M outright, or E
         // via the silent upgrade (the directory records us as owner either
         // way). A single tag probe serves the whole store.
@@ -373,6 +396,7 @@ impl CacheHierarchy {
     ) -> FlushResult {
         let _ = core; // the flush path is identical regardless of issuer
         self.version += 1;
+        self.note(mem, block);
         self.counters.flushes.inc();
         let t = now + self.l1_lat + self.noc + self.l2_lat;
 
@@ -435,6 +459,20 @@ impl CacheHierarchy {
             line.dirty
                 .then_some((line.block, line.data, line.persistent))
         })
+    }
+
+    /// `block`'s entry of [`CacheHierarchy::dirty_blocks`]: its latest
+    /// payload when it holds dirty data anywhere in the hierarchy.
+    #[must_use]
+    pub fn dirty_block(&self, block: BlockAddr) -> Option<[u8; BLOCK_BYTES]> {
+        let line = self.l2.peek(block)?;
+        if let Some(o) = line.owner {
+            let l1 = self.l1s[o].peek(block).expect("inclusion");
+            if l1.state == Mesi::M {
+                return Some(l1.data);
+            }
+        }
+        line.dirty.then_some(line.data)
     }
 
     /// Latest value of `block` visible in the hierarchy, if cached.
@@ -544,6 +582,7 @@ impl CacheHierarchy {
         mem: &mut dyn MemoryPort,
         hooks: &mut dyn CoherenceHooks,
     ) {
+        self.note(mem, block);
         let line = self
             .l2
             .peek_mut(block)
@@ -577,6 +616,7 @@ impl CacheHierarchy {
         mem: &mut dyn MemoryPort,
         hooks: &mut dyn CoherenceHooks,
     ) -> Cycle {
+        self.note(mem, victim.block);
         if let Some(o) = victim.owner {
             self.counters.back_invalidations.inc();
             if let Some(l1line) = self.l1s[o].invalidate(victim.block) {

@@ -189,6 +189,12 @@ impl PersistBuffer<BlockTable> {
         self.table.resident.contains_key(&block)
     }
 
+    /// `block`'s resident entry, as [`Bbpb::drain_set`] lists it.
+    #[must_use]
+    pub fn entry(&self, block: BlockAddr) -> Option<[u8; BLOCK_BYTES]> {
+        self.table.resident.get(&block).map(|r| r.data)
+    }
+
     /// Offers a persisting store's block (with the full, post-store block
     /// value) at `now`. Coalesces, allocates, or — when full — stalls until
     /// a drain frees an entry, then allocates. Afterwards threshold
@@ -227,6 +233,7 @@ impl PersistBuffer<BlockTable> {
         mem: &mut dyn MemoryPort,
     ) {
         self.advance(now);
+        self.note(block, mem);
         if self.try_coalesce(&(block, data)) {
             return;
         }

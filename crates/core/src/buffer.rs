@@ -46,6 +46,11 @@ pub trait EntryTable {
     /// Removes the next drain victim; `None` when nothing is resident.
     fn pop_oldest(&mut self) -> Option<Self::Entry>;
 
+    /// Reports to `mem` ([`MemoryPort::note_change`]) the blocks of the
+    /// resident entries whose place in the crash order moved when
+    /// `popped`, the oldest, left. None moves by default.
+    fn note_reordered(&self, _popped: &Self::Entry, _mem: &mut dyn MemoryPort) {}
+
     /// Drops every resident entry.
     fn clear(&mut self);
 
@@ -83,6 +88,10 @@ pub struct PersistBuffer<T> {
     /// the crash drain set — change, so an unchanged version proves an
     /// unchanged drain set. In-flight bookkeeping does not bump it.
     version: u64,
+    /// Whether entry changes are reported to the memory port
+    /// ([`MemoryPort::note_change`]); off for a volatile buffer, whose
+    /// entries no crash keeps.
+    pub(crate) change_notes: bool,
 }
 
 impl<T: EntryTable> PersistBuffer<T> {
@@ -104,6 +113,7 @@ impl<T: EntryTable> PersistBuffer<T> {
             core_id: 0,
             trace: TraceLog::default(),
             version: 0,
+            change_notes: true,
         }
     }
 
@@ -207,6 +217,7 @@ impl<T: EntryTable> PersistBuffer<T> {
         mem: &mut dyn MemoryPort,
     ) -> AllocOutcome {
         self.advance(now);
+        self.note(T::block(&entry), mem);
         if self.try_coalesce(&entry) {
             self.maybe_drain(now, mem);
             return AllocOutcome {
@@ -259,6 +270,13 @@ impl<T: EntryTable> PersistBuffer<T> {
         self.version += 1;
     }
 
+    /// Reports `block`'s entry to `mem` as changed, when notes are on.
+    pub(crate) fn note(&self, block: BlockAddr, mem: &mut dyn MemoryPort) {
+        if self.change_notes {
+            mem.note_change(block);
+        }
+    }
+
     /// True when resident plus in-flight entries fill every slot.
     pub(crate) fn is_full(&self) -> bool {
         self.occupied() >= self.capacity
@@ -275,6 +293,9 @@ impl<T: EntryTable> PersistBuffer<T> {
         let Some(entry) = self.table.pop_oldest() else {
             return false;
         };
+        if self.change_notes {
+            self.table.note_reordered(&entry, mem);
+        }
         self.issue_drain(now, &entry, false, mem);
         true
     }

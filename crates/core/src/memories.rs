@@ -96,6 +96,14 @@ impl MemoryPort for Memories {
             self.dram.write(now, block, data)
         }
     }
+
+    /// Logs NVMM blocks in the NVMM controller's change log; a DRAM
+    /// block is in no crash image.
+    fn note_change(&mut self, block: BlockAddr) {
+        if self.map.is_nvmm(block.base()) {
+            self.nvmm.changes_mut().note(block);
+        }
+    }
 }
 
 #[cfg(test)]

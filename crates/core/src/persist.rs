@@ -48,7 +48,7 @@ impl PersistState {
     /// Buffers are instantiated only for the BBB modes.
     #[must_use]
     pub fn new(cfg: &SimConfig, mode: PersistencyMode) -> Self {
-        let (bbpbs, procpbs) = match mode {
+        let (bbpbs, mut procpbs) = match mode {
             PersistencyMode::BbbMemorySide => (per_core(cfg), Vec::new()),
             // BEP's volatile persist buffers share the processor-side
             // implementation: ordered per-store entries. The difference is
@@ -57,6 +57,10 @@ impl PersistState {
             PersistencyMode::BbbProcessorSide | PersistencyMode::Bep => (Vec::new(), per_core(cfg)),
             PersistencyMode::Pmem | PersistencyMode::Eadr => (Vec::new(), Vec::new()),
         };
+        for pb in &mut procpbs {
+            // BEP's buffers are volatile: no crash image holds their entries.
+            pb.change_notes = mode != PersistencyMode::Bep;
+        }
         Self {
             mode,
             bbpbs,

@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use bbb_cpu::SbEntry;
+use bbb_cpu::{reordered_behind, SbEntry};
 use bbb_sim::{BlockAddr, Cycle, MemoryPort};
 
 use crate::buffer::{AllocOutcome, EntryTable, PersistBuffer};
@@ -95,6 +95,15 @@ impl EntryTable for StoreFifo {
         self.entries.pop_front()
     }
 
+    /// Stores behind the popped one with smaller τ move in the crash
+    /// drain's τ merge ([`reordered_behind`]): a relaxed store-buffer
+    /// drain feeds this buffer out of τ order.
+    fn note_reordered(&self, popped: &SbEntry, mem: &mut dyn MemoryPort) {
+        for block in reordered_behind(popped, &self.entries) {
+            mem.note_change(block);
+        }
+    }
+
     fn clear(&mut self) {
         self.entries.clear();
     }
@@ -103,7 +112,10 @@ impl EntryTable for StoreFifo {
         store.block
     }
 
-    /// Read-modify-write of the target block at the controller.
+    /// Read-modify-write of the target block through `mem`. The system's
+    /// routing port does not override [`MemoryPort::rmw_block`], so a
+    /// live drain pays a timed media read before its write (ROADMAP
+    /// item 5).
     fn write(store: &SbEntry, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
         mem.rmw_block(now, store.block, store.offset, &store.bytes[..store.len])
     }

@@ -24,7 +24,7 @@ use std::iter::Peekable;
 
 use bbb_cache::CacheHierarchy;
 use bbb_cpu::{CoreState, Op, SbEntry};
-use bbb_mem::{ByteStore, ImageBasis, NvmImage};
+use bbb_mem::{ByteStore, ImageBasis, NvmImage, PAGE_BYTES};
 use bbb_sim::{
     merge_logs, AddressMap, BlockAddr, Cycle, EventKind, MemoryPort, SchedProfile, SimConfig,
     Stats, TraceEvent, TraceLog, BLOCK_BYTES,
@@ -167,7 +167,7 @@ enum Survivor {
 }
 
 /// One write the persistence domain owes NVMM at a crash.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Write {
     /// A whole block (a dirty line or a bbPB entry).
     Block(BlockAddr, [u8; BLOCK_BYTES]),
@@ -176,31 +176,154 @@ enum Write {
     Store { core: usize, store: SbEntry },
 }
 
+/// [`merge_by_tau`] of `queues`, keeping only the stores on blocks
+/// `wanted` accepts (all of them without it). `in_order` says the queues
+/// are known to be in τ order (store buffers always are); otherwise they
+/// are checked.
+///
+/// When every queue is in τ order, the merge emits all stores in τ
+/// order, so filtering its input keeps the same stores in the same order
+/// as filtering its output, and only the wanted ones are merged. A queue
+/// out of τ order — a relaxed store-buffer drain feeds a processor-side
+/// buffer out of order — makes a store's place depend on the stores in
+/// front of it, so then the whole queues are merged and the output is
+/// filtered.
+fn merge_by_tau_filtered<'a, Q>(
+    queues: impl Iterator<Item = Q> + Clone,
+    in_order: bool,
+    wanted: Option<&BlockFilter<'_>>,
+    mut visit: impl FnMut(Write),
+) where
+    Q: Iterator<Item = &'a SbEntry>,
+{
+    let Some(wanted) = wanted else {
+        return merge_by_tau(queues, visit);
+    };
+    if in_order || queues.clone().all(|q| q.is_sorted_by_key(SbEntry::tau)) {
+        merge_by_tau(
+            queues.map(|q| q.filter(|e| wanted.contains(e.block))),
+            visit,
+        );
+    } else {
+        merge_by_tau(queues, |w| {
+            if wanted.contains(w.block()) {
+                visit(w);
+            }
+        });
+    }
+}
+
+/// The blocks of `mask` on the page at `page`, ascending.
+fn blocks_of(page: u64, mask: u64) -> impl Iterator<Item = BlockAddr> {
+    let first = page / BLOCK_BYTES as u64;
+    let bits = std::iter::successors(Some(mask).filter(|&m| m != 0), |&m| {
+        Some(m & (m - 1)).filter(|&m| m != 0)
+    });
+    bits.map(move |m| BlockAddr::from_index(first + u64::from(m.trailing_zeros())))
+}
+
+/// Blocks given per page as masks, ascending by page, with a one-word
+/// sieve most other blocks miss: the stores of a partial image are a few
+/// among the many buffered.
+struct BlockFilter<'a> {
+    pages: &'a [(u64, u64)],
+    sieve: u64,
+}
+
+impl<'a> BlockFilter<'a> {
+    fn new(pages: &'a [(u64, u64)]) -> Self {
+        let sieve = pages
+            .iter()
+            .flat_map(|&(page, mask)| blocks_of(page, mask))
+            .fold(0, |sieve, block| sieve | Self::bit(block));
+        Self { pages, sieve }
+    }
+
+    fn bit(block: BlockAddr) -> u64 {
+        1 << ((block.index() ^ block.index() >> 6) & 63)
+    }
+
+    fn contains(&self, block: BlockAddr) -> bool {
+        if self.sieve & Self::bit(block) == 0 {
+            return false;
+        }
+        let base = block.base();
+        let page = base & !(PAGE_BYTES as u64 - 1);
+        self.pages
+            .binary_search_by_key(&page, |&(page, _)| page)
+            .is_ok_and(|i| self.pages[i].1 >> ((base - page) / BLOCK_BYTES as u64) & 1 != 0)
+    }
+}
+
+impl Write {
+    /// The block the write lands on.
+    fn block(&self) -> BlockAddr {
+        match self {
+            Write::Block(block, _) => *block,
+            Write::Store { store, .. } => store.block,
+        }
+    }
+}
+
+/// One queue of [`merge_by_tau`], ordered by its front store's τ key
+/// (earliest first in the max-heap); fronts of different cores never tie.
+struct Front<P> {
+    key: Reverse<(Cycle, usize, u64)>,
+    core: usize,
+    queue: P,
+}
+
+impl<'a, Q: Iterator<Item = &'a SbEntry>> Front<Peekable<Q>> {
+    /// The queue at its next store; `None` once it is empty.
+    fn of(core: usize, mut queue: Peekable<Q>) -> Option<Self> {
+        let e = queue.peek()?;
+        let key = Reverse((e.committed, core, e.seq));
+        Some(Self { key, core, queue })
+    }
+}
+
+impl<Q> PartialEq for Front<Q> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<Q> Eq for Front<Q> {}
+
+impl<Q> PartialOrd for Front<Q> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<Q> Ord for Front<Q> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 /// Merges per-core FIFO queues of buffered stores in coherence order
 /// τ = (commit cycle, core index, per-core sequence). Only queue fronts
 /// are compared, so each core's own order is kept even where it is not
 /// τ-sorted (a relaxed store-buffer drain can feed a processor-side
-/// buffer out of commit order). Empty queues are dropped up front, so
+/// buffer out of commit order). The fronts wait in a min-heap, so each
+/// store costs O(log cores). Empty queues are dropped up front, so
 /// merging nothing allocates nothing.
 fn merge_by_tau<'a, Q>(queues: impl Iterator<Item = Q>, mut visit: impl FnMut(Write))
 where
     Q: Iterator<Item = &'a SbEntry>,
 {
-    let mut fronts: Vec<(usize, Peekable<Q>)> = queues
-        .map(Iterator::peekable)
+    let mut fronts: BinaryHeap<Front<Peekable<Q>>> = queues
         .enumerate()
-        .filter_map(|(core, mut q)| q.peek().is_some().then_some((core, q)))
+        .filter_map(|(core, q)| Front::of(core, q.peekable()))
         .collect();
-    loop {
-        let next = fronts
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, (core, q))| q.peek().map(|e| ((e.committed, *core, e.seq), i)))
-            .min();
-        let Some((_, i)) = next else { break };
-        let (core, q) = &mut fronts[i];
-        let store = *q.next().expect("peeked front");
-        visit(Write::Store { core: *core, store });
+    while let Some(Front {
+        core, mut queue, ..
+    }) = fronts.pop()
+    {
+        let store = *queue.next().expect("peeked front");
+        visit(Write::Store { core, store });
+        fronts.extend(Front::of(core, queue));
     }
 }
 
@@ -232,6 +355,9 @@ pub struct System {
     persist_lat: PersistLatencyTracker,
     /// Ops committed since the last periodic debug audit.
     audit_countdown: u32,
+    /// Whether store-buffer changes go to the NVMM controller's change
+    /// log: the store buffers are in the persistence domain.
+    sb_notes: bool,
 }
 
 /// How many committed ops the always-on debug audit lets pass between
@@ -275,7 +401,7 @@ impl System {
             .map(|i| CoreState::new(i, cfg.core.store_buffer_entries))
             .collect();
         let persist_lat = PersistLatencyTracker::new(mode, cfg.battery_backed_sb, cfg.cores);
-        Ok(Self {
+        let mut sys = Self {
             cfg,
             hierarchy,
             memories,
@@ -287,7 +413,16 @@ impl System {
             profile: SchedProfile::default(),
             persist_lat,
             audit_countdown: 0,
-        })
+            sb_notes: false,
+        };
+        // Structures outside the persistence domain need not report
+        // their changes to the change log.
+        let dirty_lines = sys.persist_domain(true).any(|s| s == Survivor::DirtyLines);
+        sys.hierarchy.set_change_notes(dirty_lines);
+        sys.sb_notes = sys
+            .persist_domain(true)
+            .any(|s| s == Survivor::StoreBuffers);
+        Ok(sys)
     }
 
     /// Enables or disables event tracing across every component (the
@@ -642,6 +777,9 @@ impl System {
                     seq,
                 };
                 self.cores[core].sb.push(entry).expect("space ensured");
+                if persistent && self.sb_notes {
+                    self.memories.note_change(block);
+                }
                 self.trace.push(TraceEvent::StoreCommit {
                     core,
                     block,
@@ -773,8 +911,10 @@ impl System {
     fn crash(&mut self, battery_ok: bool) -> NvmImage {
         let now = self.now_max;
         self.memories.nvmm_mut().note_crash(now, battery_ok);
+        // Every buffer empties below: no image built before is a basis.
+        self.memories.nvmm_mut().changes_mut().overflow();
         let mut writes = Vec::new();
-        self.surviving_writes(battery_ok, |from, w| writes.push((from, w)));
+        self.surviving_writes(battery_ok, None, |from, w| writes.push((from, w)));
         for (from, w) in writes {
             let nvmm = self.memories.nvmm_mut();
             match w {
@@ -818,20 +958,25 @@ impl System {
     }
 
     /// [`System::crash_image`] built on `basis`, the last image this
-    /// machine built in the same battery state: a page keeps that image's
-    /// pointer when neither its media page nor the writes landing on it
-    /// changed (see [`ImageBasis`]). The bytes are
-    /// [`System::crash_image`]'s; `basis` then describes this image.
+    /// machine built in the same battery state: only the blocks the NVMM
+    /// controller's change log recorded since that image are rebuilt —
+    /// media's bytes plus the persistence domain's writes on them — and
+    /// every other page is that image's (see [`ImageBasis`]). A fresh
+    /// basis builds every page. The bytes are [`System::crash_image`]'s;
+    /// `basis` then describes this image.
     #[must_use]
     pub fn crash_image_on(&self, battery_ok: bool, basis: &mut ImageBasis) -> NvmImage {
-        self.surviving_writes(battery_ok, |_, w| match w {
-            Write::Block(block, data) => basis.write(block.base(), &data),
-            Write::Store { store, .. } => basis.write(
+        let nvmm = self.memories.nvmm();
+        let mut build = basis.start(nvmm.changes(), nvmm.media_snapshot());
+        let (only, writes) = build.parts();
+        self.surviving_writes(battery_ok, only, |_, w| match w {
+            Write::Block(block, data) => writes.write(block.base(), &data),
+            Write::Store { store, .. } => writes.write(
                 store.block.base() + store.offset as u64,
                 &store.bytes[..store.len],
             ),
         });
-        basis.build(self.memories.nvmm().media_snapshot())
+        basis.finish(build)
     }
 
     /// A fingerprint of everything [`System::crash_image`] can read: equal
@@ -884,31 +1029,69 @@ impl System {
     /// merge in coherence order τ = (commit cycle, core index, per-core
     /// sequence), never by bare core index (DESIGN.md §9.4, resolved
     /// ledger item 1).
-    fn surviving_writes(&self, battery_ok: bool, mut visit: impl FnMut(Survivor, Write)) {
+    ///
+    /// With `only` — blocks per page in ascending page order, as masks of
+    /// the page's 64 blocks — just the writes on those blocks, in the
+    /// same order. Block-granular survivors are looked up block by block;
+    /// their blocks are distinct, so no order among them changes a byte.
+    /// Store-granular ones come from the one τ merge of the whole queues,
+    /// filtered: merging filtered queues would not be the filtered merge
+    /// once a queue leaves τ order.
+    fn surviving_writes(
+        &self,
+        battery_ok: bool,
+        only: Option<&[(u64, u64)]>,
+        mut visit: impl FnMut(Survivor, Write),
+    ) {
+        let nvmm = |block: &BlockAddr| self.memories.map().is_nvmm(block.base());
+        let blocks = || {
+            only.into_iter()
+                .flatten()
+                .flat_map(|&(page, mask)| blocks_of(page, mask))
+        };
         for from in self.persist_domain(battery_ok) {
-            match from {
-                Survivor::DirtyLines => {
+            match (from, only) {
+                (Survivor::DirtyLines, None) => {
                     for (block, data, _) in self.hierarchy.dirty_blocks() {
-                        if self.memories.map().is_nvmm(block.base()) {
+                        if nvmm(&block) {
                             visit(from, Write::Block(block, data));
                         }
                     }
                 }
-                Survivor::Bbpbs => {
+                (Survivor::DirtyLines, Some(_)) => {
+                    for block in blocks().filter(nvmm) {
+                        if let Some(data) = self.hierarchy.dirty_block(block) {
+                            visit(from, Write::Block(block, data));
+                        }
+                    }
+                }
+                (Survivor::Bbpbs, None) => {
                     for c in 0..self.cores.len() {
                         for (block, data) in self.persist.bbpb(c).drain_set() {
                             visit(from, Write::Block(block, data));
                         }
                     }
                 }
-                Survivor::ProcPbs => merge_by_tau(
+                (Survivor::Bbpbs, Some(_)) => {
+                    for block in blocks() {
+                        let holder = self.persist.holder_of(block);
+                        if let Some(data) = holder.and_then(|c| self.persist.bbpb(c).entry(block)) {
+                            visit(from, Write::Block(block, data));
+                        }
+                    }
+                }
+                (Survivor::ProcPbs, _) => merge_by_tau_filtered(
                     (0..self.cores.len()).map(|c| self.persist.procpb(c).iter()),
+                    false,
+                    only.map(BlockFilter::new).as_ref(),
                     |w| visit(from, w),
                 ),
-                Survivor::StoreBuffers => merge_by_tau(
+                (Survivor::StoreBuffers, _) => merge_by_tau_filtered(
                     self.cores
                         .iter()
                         .map(|c| c.sb.iter().filter(|e| e.persistent)),
+                    true,
+                    only.map(BlockFilter::new).as_ref(),
                     |w| visit(from, w),
                 ),
             }
@@ -956,7 +1139,7 @@ impl System {
             dirty_cache_blocks: 0,
             wpq_blocks: self.memories.nvmm().wpq_occupancy(self.now_max) as u64,
         };
-        self.surviving_writes(true, |from, w| match (from, w) {
+        self.surviving_writes(true, None, |from, w| match (from, w) {
             (Survivor::DirtyLines, _) => cost.dirty_cache_blocks += 1,
             (Survivor::Bbpbs | Survivor::ProcPbs, _) => cost.bbpb_entries += 1,
             (Survivor::StoreBuffers, Write::Store { store, .. }) => {
@@ -1100,6 +1283,12 @@ impl System {
                 .pop_front()
                 .expect("drain_one_sb on empty SB")
         };
+        if e.persistent && self.sb_notes {
+            // The store leaves the battery-backed SB's crash drain. The
+            // buffer is in τ order, so no store behind it moves in the
+            // drain's τ merge.
+            self.memories.note_change(e.block);
+        }
         let start = self.cores[core].sb_drain_busy_until.max(e.committed);
         let res = self.hierarchy.write(
             start,
@@ -1172,6 +1361,9 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbb_cpu::reordered_behind;
+    use bbb_mem::ChangeLog;
+    use bbb_sim::SplitMix64;
 
     fn sys(mode: PersistencyMode) -> System {
         System::new(SimConfig::small_for_tests(), mode).expect("valid config")
@@ -1739,6 +1931,266 @@ mod tests {
             let third = s.crash_image_on(true, &mut basis);
             assert_eq!(third, s.crash_image(true), "{mode}");
             assert_eq!(moved_pages(&second, &third), vec![a + 4096], "{mode}");
+        }
+    }
+
+    /// A store-heavy random op of a two-core machine: stores to words on
+    /// three pages (so the cores share blocks), loads, flushes, fences
+    /// and compute.
+    fn random_op(rng: &mut SplitMix64, a: u64) -> Op {
+        let word = a + 4096 * rng.next_below(3) + 8 * rng.next_below(24);
+        match rng.next_below(12) {
+            0..=6 => Op::store_u64(word, rng.next_u64()),
+            7 => Op::load_u64(word),
+            8 => Op::Clwb { addr: word },
+            9 => Op::Fence,
+            _ => Op::Compute {
+                cycles: rng.next_below(400) as u32,
+            },
+        }
+    }
+
+    /// Two-core machines in every mode, with store buffers battery-backed
+    /// or not, draining in order or relaxed (which feeds processor-side
+    /// buffers out of τ order).
+    fn random_machines() -> impl Iterator<Item = (String, System)> {
+        PersistencyMode::ALL.into_iter().flat_map(|mode| {
+            [(true, false), (false, false), (true, true), (false, true)]
+                .into_iter()
+                .map(move |(backed, relaxed)| {
+                    let mut cfg = SimConfig::small_for_tests();
+                    cfg.battery_backed_sb = backed;
+                    cfg.relaxed_sb_drain = relaxed;
+                    let case = format!("{mode}, backed SB {backed}, relaxed drain {relaxed}");
+                    (case, System::new(cfg, mode).unwrap())
+                })
+        })
+    }
+
+    /// The domain's writes in a form where only what can change a byte
+    /// counts: the block-granular writes, which come first and name
+    /// distinct blocks, sorted by block; the stores in order.
+    fn canonical(mut writes: Vec<(Survivor, Write)>) -> Vec<(Survivor, Write)> {
+        let blocks = writes
+            .iter()
+            .take_while(|(_, w)| matches!(w, Write::Block(..)))
+            .count();
+        writes[..blocks].sort_by_key(|(_, w)| w.block());
+        writes
+    }
+
+    #[test]
+    fn filtered_domain_writes_are_the_full_list_filtered() {
+        let mut rng = SplitMix64::new(0xF17E);
+        for (case, mut s) in random_machines() {
+            let a = pbase(&s);
+            for i in 0..240 {
+                let core = rng.next_index(2);
+                s.step_op(core, &random_op(&mut rng, a));
+                for battery_ok in [true, false] {
+                    let mut full = Vec::new();
+                    s.surviving_writes(battery_ok, None, |from, w| full.push((from, w)));
+                    let random_block = |rng: &mut SplitMix64| {
+                        a + 4096 * rng.next_below(3) + 64 * rng.next_below(8)
+                    };
+                    let mut only: Vec<BlockAddr> = full
+                        .iter()
+                        .map(|(_, w)| w.block())
+                        .filter(|_| rng.chance(1, 2))
+                        .collect();
+                    only.extend((0..3).map(|_| BlockAddr::containing(random_block(&mut rng))));
+                    only.sort_unstable();
+                    only.dedup();
+                    let mut pages: Vec<(u64, u64)> = Vec::new();
+                    for block in &only {
+                        let page = block.base() & !(PAGE_BYTES as u64 - 1);
+                        let bit = 1 << ((block.base() - page) / BLOCK_BYTES as u64);
+                        match pages.last_mut() {
+                            Some((p, mask)) if *p == page => *mask |= bit,
+                            _ => pages.push((page, bit)),
+                        }
+                    }
+                    let mut filtered = Vec::new();
+                    s.surviving_writes(battery_ok, Some(&pages), |from, w| {
+                        filtered.push((from, w));
+                    });
+                    full.retain(|(_, w)| only.binary_search(&w.block()).is_ok());
+                    assert_eq!(
+                        canonical(filtered),
+                        canonical(full),
+                        "{case}, op {i}, battery {battery_ok}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn images_built_on_the_last_match_the_full_build_on_random_machines() {
+        let mut rng = SplitMix64::new(0x1A6E);
+        for (case, mut s) in random_machines() {
+            let a = pbase(&s);
+            let mut bases = [ImageBasis::default(), ImageBasis::default()];
+            let mut last = [None, None];
+            let mut partial = 0;
+            for i in 0..240 {
+                let core = rng.next_index(2);
+                s.step_op(core, &random_op(&mut rng, a));
+                for battery_ok in [true, false] {
+                    let k = usize::from(battery_ok);
+                    let image = s.crash_image_on(battery_ok, &mut bases[k]);
+                    assert!(
+                        image == s.crash_image(battery_ok),
+                        "{case}, op {i}, battery {battery_ok}"
+                    );
+                    partial += usize::from(image.changes_since(last[k]).is_some());
+                    last[k] = image.id();
+                }
+            }
+            assert!(partial > 400, "{case}: {partial} images built on the last");
+        }
+    }
+
+    /// The τ merge before the heap: every queue front compared per store.
+    fn merge_by_tau_scan<'a, Q>(queues: impl Iterator<Item = Q>, mut visit: impl FnMut(Write))
+    where
+        Q: Iterator<Item = &'a SbEntry>,
+    {
+        let mut fronts: Vec<(usize, Peekable<Q>)> =
+            queues.map(Iterator::peekable).enumerate().collect();
+        loop {
+            let next = fronts
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, (core, q))| q.peek().map(|e| ((e.committed, *core, e.seq), i)))
+                .min();
+            let Some((_, i)) = next else { break };
+            let (core, q) = &mut fronts[i];
+            let store = *q.next().expect("peeked front");
+            visit(Write::Store { core: *core, store });
+        }
+    }
+
+    #[test]
+    fn heap_tau_merge_matches_the_front_scan() {
+        let mut rng = SplitMix64::new(0x7A0);
+        for _ in 0..2000 {
+            let queues = random_queues(&mut rng);
+            let (mut heap, mut scan) = (Vec::new(), Vec::new());
+            merge_by_tau(queues.iter().map(|q| q.iter()), |w| heap.push(w));
+            merge_by_tau_scan(queues.iter().map(|q| q.iter()), |w| scan.push(w));
+            assert_eq!(heap, scan, "{queues:?}");
+        }
+    }
+
+    /// Random per-core store queues, one in four stores jumping anywhere
+    /// in commit time, so queues leave τ order.
+    fn random_queues(rng: &mut SplitMix64) -> Vec<Vec<SbEntry>> {
+        let cores = 1 + rng.next_index(6);
+        (0..cores)
+            .map(|_| {
+                let mut committed = 0;
+                (0..rng.next_below(8))
+                    .map(|seq| {
+                        committed = if rng.chance(1, 4) {
+                            rng.next_below(40)
+                        } else {
+                            committed + rng.next_below(5)
+                        };
+                        SbEntry {
+                            block: BlockAddr::from_index(rng.next_below(6)),
+                            offset: 0,
+                            len: 8,
+                            bytes: seq.to_le_bytes(),
+                            persistent: true,
+                            committed,
+                            seq,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The merged stores of each block, in merge order.
+    fn per_block(queues: &[Vec<SbEntry>]) -> Vec<Vec<Write>> {
+        let mut blocks = vec![Vec::new(); 6];
+        merge_by_tau(queues.iter().map(|q| q.iter()), |w| {
+            blocks[w.block().index() as usize].push(w);
+        });
+        blocks
+    }
+
+    /// Taking a store out of a queue moves no other store of the merge
+    /// relative to the stores of its block, except on the blocks
+    /// `reordered_behind` names and the store's own: the change log's
+    /// rule for drains out of queues that left τ order.
+    #[test]
+    fn reordered_behind_names_every_block_whose_merge_order_moves() {
+        let mut rng = SplitMix64::new(0x0DE7);
+        let mut moved_somewhere = 0;
+        for _ in 0..4000 {
+            let queues = random_queues(&mut rng);
+            let core = rng.next_index(queues.len());
+            if queues[core].is_empty() {
+                continue;
+            }
+            let at = rng.next_index(queues[core].len());
+            let mut after = queues.clone();
+            let removed = after[core].remove(at);
+            let named: Vec<BlockAddr> = reordered_behind(&removed, &after[core][at..]).collect();
+            let (before, after) = (per_block(&queues), per_block(&after));
+            for (b, (mut was, now)) in before.into_iter().zip(after).enumerate() {
+                let block = BlockAddr::from_index(b as u64);
+                was.retain(|w| {
+                    *w != Write::Store {
+                        core,
+                        store: removed,
+                    }
+                });
+                if block != removed.block && !named.contains(&block) {
+                    assert_eq!(was, now, "{queues:?}: removed {removed:?}");
+                } else {
+                    moved_somewhere += usize::from(was != now);
+                }
+            }
+        }
+        assert!(moved_somewhere > 0, "no removal moved a store");
+    }
+
+    /// Past the change log's capacity, or after a destructive crash, an
+    /// image cannot be built on the last: it is built in full, names no
+    /// blocks, and the next image builds on it again.
+    #[test]
+    fn an_image_after_the_log_overflows_is_the_full_build() {
+        for mode in [
+            PersistencyMode::Eadr,
+            PersistencyMode::BbbMemorySide,
+            PersistencyMode::BbbProcessorSide,
+        ] {
+            let mut s = sys(mode);
+            let a = pbase(&s);
+            let mut basis = ImageBasis::default();
+            s.step_op(0, &Op::store_u64(a, 1));
+            let first = s.crash_image_on(true, &mut basis);
+            let mark = s.memories.nvmm().changes().mark();
+            for i in 0..ChangeLog::CAPACITY as u64 {
+                s.step_op(0, &Op::store_u64(a + 64 * (i % 512), i));
+            }
+            assert!(s.memories.nvmm().changes().since(mark).is_none(), "{mode}");
+            let second = s.crash_image_on(true, &mut basis);
+            assert!(second == s.crash_image(true), "{mode}");
+            assert_eq!(second.changes_since(first.id()), None, "{mode}");
+
+            s.step_op(0, &Op::store_u64(a + 8, 2));
+            let third = s.crash_image_on(true, &mut basis);
+            assert!(third == s.crash_image(true), "{mode}");
+            assert!(third.changes_since(second.id()).is_some(), "{mode}");
+
+            let destroyed = s.crash_now();
+            let fourth = s.crash_image_on(true, &mut basis);
+            assert!(fourth == destroyed, "{mode}");
+            assert_eq!(fourth.changes_since(third.id()), None, "{mode}");
         }
     }
 

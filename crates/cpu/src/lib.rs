@@ -23,4 +23,4 @@ pub mod store_buffer;
 
 pub use core_state::CoreState;
 pub use op::Op;
-pub use store_buffer::{SbEntry, StoreBuffer};
+pub use store_buffer::{reordered_behind, SbEntry, StoreBuffer};

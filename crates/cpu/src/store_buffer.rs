@@ -34,6 +34,59 @@ pub struct SbEntry {
     pub seq: u64,
 }
 
+impl SbEntry {
+    /// The store's place in coherence order τ among its core's stores:
+    /// commit cycle, then sequence.
+    #[must_use]
+    pub fn tau(&self) -> (Cycle, u64) {
+        (self.committed, self.seq)
+    }
+}
+
+/// The blocks of the stores `behind` whose place in a merge of per-core
+/// queues by τ moves when `removed` leaves the queue just in front of
+/// them.
+///
+/// A merge that compares only queue fronts emits each store once every
+/// store before it in its queue has gone, so its place follows the
+/// largest τ at or before it in its queue. Removing a store changes that
+/// only for the run right behind it with smaller τ — a queue fed out of
+/// τ order, as a relaxed store-buffer drain feeds a processor-side
+/// persist buffer. A τ-sorted queue has no such run.
+///
+/// # Examples
+///
+/// ```
+/// use bbb_cpu::{reordered_behind, SbEntry};
+/// use bbb_sim::BlockAddr;
+/// let st = |block, committed| SbEntry {
+///     block: BlockAddr::from_index(block),
+///     offset: 0,
+///     len: 8,
+///     bytes: [0; 8],
+///     persistent: true,
+///     committed,
+///     seq: 0,
+/// };
+/// let queue = [st(2, 5), st(3, 1), st(4, 9)];
+/// let moved: Vec<_> = reordered_behind(&st(1, 7), &queue).collect();
+/// assert_eq!(moved, [BlockAddr::from_index(2), BlockAddr::from_index(3)]);
+/// assert_eq!(reordered_behind(&st(1, 0), &queue).count(), 0);
+/// ```
+pub fn reordered_behind<'a, I>(
+    removed: &SbEntry,
+    behind: I,
+) -> impl Iterator<Item = BlockAddr> + use<'a, I>
+where
+    I: IntoIterator<Item = &'a SbEntry>,
+{
+    let tau = removed.tau();
+    behind
+        .into_iter()
+        .take_while(move |e| e.tau() < tau)
+        .map(|e| e.block)
+}
+
 /// A fixed-capacity FIFO store buffer.
 ///
 /// # Examples
@@ -122,6 +175,14 @@ impl StoreBuffer {
         if self.is_full() {
             return Err(entry);
         }
+        // Stores commit in τ order, and taking any out keeps the rest in
+        // it: crash drains merge the buffer as a τ-sorted queue.
+        debug_assert!(
+            self.entries
+                .back()
+                .is_none_or(|last| last.tau() < entry.tau()),
+            "stores enter the buffer in τ order"
+        );
         self.version += 1;
         self.entries.push_back(entry);
         Ok(())

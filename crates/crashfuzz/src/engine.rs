@@ -5,9 +5,10 @@
 //! unchanged [`System::crash_image_epoch`] proves the image identical to
 //! the last one, so the engine returns `None` and the caller reuses its
 //! last conclusion. A fresh image is built on the last one of the same
-//! battery state ([`System::crash_image_on`]): it keeps that image's
-//! pages wherever neither media nor the writes laid over it changed, so a
-//! recovery oracle diffing the two compares only the pages that did.
+//! battery state ([`System::crash_image_on`]): only the blocks the
+//! machine's change log recorded since are rebuilt, every other page is
+//! the last image's, and the image names the blocks it rebuilt, so a
+//! recovery oracle that checked the last image compares only those.
 
 use bbb_core::{
     ImageBasis, NvmImage, Op, PersistencyMode, ProbeKind, RunCursor, StopAt, System, Workload,
@@ -186,6 +187,13 @@ impl CrashSweep {
         self.perf.pages_copied += copied;
         self.perf.clone_bytes_avoided += shared * PAGE_BYTES as u64;
         Some(image)
+    }
+
+    /// The counters so far; [`CrashSweep::finish`] adds the simulated
+    /// cycles and profile.
+    #[must_use]
+    pub fn perf(&self) -> &SweepPerf {
+        &self.perf
     }
 
     /// The machine, at the point the sweep last advanced to.

@@ -11,6 +11,7 @@ use bbb_sim::{
 };
 
 use crate::backing::ByteStore;
+use crate::changes::ChangeLog;
 use crate::endurance::EnduranceTracker;
 use crate::image::NvmImage;
 use crate::sched::ChannelScheduler;
@@ -130,6 +131,10 @@ pub struct NvmmController {
     reads: Counter,
     wpq_read_hits: Counter,
     trace: TraceLog,
+    /// The blocks whose crash image may have changed: every media write
+    /// here, and every persist-domain change reported through
+    /// [`MemoryPort::note_change`](bbb_sim::MemoryPort::note_change).
+    changes: ChangeLog,
 }
 
 impl NvmmController {
@@ -147,7 +152,21 @@ impl NvmmController {
             reads: Counter::new(),
             wpq_read_hits: Counter::new(),
             trace: TraceLog::default(),
+            changes: ChangeLog::default(),
         }
+    }
+
+    /// The blocks whose crash image may have changed (see [`ChangeLog`]).
+    #[must_use]
+    pub fn changes(&self) -> &ChangeLog {
+        &self.changes
+    }
+
+    /// Mutable access to the change log, for the persist-domain
+    /// structures the controller does not see (store buffers) and for a
+    /// destructive crash, which records its overflow.
+    pub fn changes_mut(&mut self) -> &mut ChangeLog {
+        &mut self.changes
     }
 
     /// Enables or disables [`TraceEvent::NvmmWrite`] recording.
@@ -202,6 +221,7 @@ impl NvmmController {
         // inside the persistence domain, so for crash purposes queued data
         // and media data are equivalent.
         self.media.write_block(block, &data);
+        self.changes.note(block);
         if !accept.coalesced {
             self.endurance.record(block);
         }
@@ -214,12 +234,14 @@ impl NvmmController {
     /// Pre-loads media contents without consuming simulated time.
     pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
         self.media.write_block(block, data);
+        self.changes.note(block);
     }
 
     /// Pre-loads the page holding `addr` by sharing `src`'s. A media write
     /// to it before `src` writes it is a counted copy-on-write.
     pub fn share_page(&mut self, src: &ByteStore, addr: Addr) {
         self.media.share_page(src, addr);
+        self.changes.note_page(addr);
     }
 
     /// Snapshot of the persistent image at a crash: media plus the WPQ,
@@ -436,6 +458,10 @@ impl bbb_sim::MemoryPort for NvmmController {
         let mut data = self.media.read_block(block);
         data[offset..offset + bytes.len()].copy_from_slice(bytes);
         NvmmController::write(self, now, block, data).persist
+    }
+
+    fn note_change(&mut self, block: BlockAddr) {
+        self.changes.note(block);
     }
 }
 

@@ -5,11 +5,13 @@
 //! byte contents recovery code would see on reboot. Workload-specific
 //! checkers (in `bbb-workloads`) validate structure invariants against it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bbb_sim::{Addr, BlockAddr, FxHashMap, BLOCK_BYTES};
 
 use crate::backing::{ByteStore, Page, PAGE_BYTES};
+use crate::changes::{ChangeLog, LogMark};
 
 // A page's changed blocks fit one `u64` mask.
 const _: () = assert!(PAGE_BYTES / BLOCK_BYTES == 64);
@@ -25,16 +27,49 @@ const _: () = assert!(PAGE_BYTES / BLOCK_BYTES == 64);
 /// let image = NvmImage::from_store(media);
 /// assert_eq!(image.read_u64(0x100), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct NvmImage {
     store: ByteStore,
+    /// Set on the images an [`ImageBasis`] builds.
+    lineage: Option<Lineage>,
 }
+
+impl PartialEq for NvmImage {
+    /// Byte equality: where an image came from is no part of it.
+    fn eq(&self, other: &Self) -> bool {
+        self.store == other.store
+    }
+}
+
+impl Eq for NvmImage {}
 
 impl NvmImage {
     /// Wraps a snapshot of media contents.
     #[must_use]
     pub fn from_store(store: ByteStore) -> Self {
-        Self { store }
+        Self {
+            store,
+            lineage: None,
+        }
+    }
+
+    /// This image's place among its [`ImageBasis`]'s images; `None` for
+    /// an image no basis built.
+    #[must_use]
+    pub fn id(&self) -> Option<ImageId> {
+        self.lineage.as_ref().map(|l| l.id)
+    }
+
+    /// The blocks whose bytes may differ from image `last`'s, per page in
+    /// ascending page order as a mask of the page's 64 blocks — when this
+    /// image is the one its basis built right after `last` and built on
+    /// it. `None` when anything may differ: `last` is unknown, another
+    /// basis's or an earlier image, or this image was built in full.
+    #[must_use]
+    pub fn changes_since(&self, last: Option<ImageId>) -> Option<&[(Addr, u64)]> {
+        let (lineage, last) = (self.lineage.as_ref()?, last?);
+        let follows = lineage.id.basis == last.basis && lineage.id.seq == last.seq + 1;
+        lineage.rebuilt.as_deref().filter(|_| follows)
     }
 
     /// Reads raw bytes.
@@ -177,182 +212,339 @@ impl ImageReader<'_> {
     }
 }
 
-/// One write a crash lays over media: `len` bytes at `offset` of its
-/// page, and the next write on the same page.
-#[derive(Debug, Clone, Copy)]
-struct Patch {
-    offset: u16,
-    len: u8,
-    bytes: [u8; BLOCK_BYTES],
-    next: u32,
+/// Where an image stands among the images of its [`ImageBasis`]: the
+/// basis, and how many images it had built with this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageId {
+    basis: u64,
+    seq: u64,
 }
 
-impl Patch {
-    /// True when `other` writes the same bytes at the same offset.
-    fn same(&self, other: &Patch) -> bool {
-        let len = usize::from(self.len);
-        (self.offset, self.len) == (other.offset, other.len)
-            && self.bytes[..len] == other.bytes[..len]
+/// An image's place among its basis's images, and the blocks that may
+/// differ from the image before it.
+#[derive(Debug, Clone)]
+struct Lineage {
+    id: ImageId,
+    /// Per page, ascending, the mask of the blocks rebuilt; `None` after
+    /// a full build.
+    rebuilt: Option<Arc<[(Addr, u64)]>>,
+}
+
+/// The page of zeros an absent page reads as.
+static ZERO_PAGE: Page = [0; PAGE_BYTES];
+
+/// One page of the image under construction.
+#[derive(Debug)]
+struct PageBuild {
+    /// The blocks rebuilt from media and the writes (all of them in a
+    /// full build).
+    rebuilt: u64,
+    /// The rebuilt blocks some write landed on.
+    written: u64,
+    /// The blocks the last image laid writes on that are not rebuilt:
+    /// they keep them.
+    kept: u64,
+    /// The page the last image built here, taken from the basis.
+    last: Option<Arc<Page>>,
+    /// The page built, once a write landed.
+    page: Option<Arc<Page>>,
+}
+
+impl PageBuild {
+    /// The page to lay this build's writes on: the last image's page with
+    /// the rebuilt blocks read back from `media` — in place when nothing
+    /// else holds it — or a copy of `media`'s page when the last image
+    /// laid nothing here.
+    fn page(&mut self, media: Option<&Arc<Page>>) -> &mut Page {
+        let Self {
+            rebuilt,
+            last,
+            page,
+            ..
+        } = self;
+        let page = page.get_or_insert_with(|| {
+            let media: &Page = media.map_or(&ZERO_PAGE, |p| p);
+            let Some(mut built) = last.take() else {
+                return Arc::new(*media);
+            };
+            let bytes = Arc::make_mut(&mut built);
+            let mut blocks = *rebuilt;
+            while blocks != 0 {
+                let at = blocks.trailing_zeros() as usize * BLOCK_BYTES;
+                blocks &= blocks - 1;
+                bytes[at..at + BLOCK_BYTES].copy_from_slice(&media[at..at + BLOCK_BYTES]);
+            }
+            built
+        });
+        Arc::make_mut(page)
     }
 }
 
-/// The end of a page's write list.
-const END: u32 = u32::MAX;
-
-/// The writes of the list from `first` through [`Patch::next`].
-fn writes(list: &[Patch], first: u32) -> impl Iterator<Item = &Patch> {
-    let next = |&i: &u32| Some(list[i as usize].next).filter(|&n| n != END);
-    std::iter::successors(Some(first), next).map(|i| &list[i as usize])
-}
-
-/// The writes an image lays on one page, and the page they made.
+/// The persistence domain's writes of one image, laid page by page as
+/// they come, in crash order.
 #[derive(Debug)]
-struct Overlay {
-    /// The page's writes in crash order: a list through [`Patch::next`]
-    /// from `first` to `last`, `count` long.
-    first: u32,
-    last: u32,
-    count: u32,
-    /// The media page they were laid over (`None`: an absent page) and
-    /// the page built, once built.
-    media: Option<Arc<Page>>,
-    built: Option<Arc<Page>>,
+pub struct PageWrites {
+    media: ByteStore,
+    /// [`ImageBuild::rebuilt`].
+    rebuilt: Option<Arc<[(Addr, u64)]>>,
+    /// The pages written, and those the last image laid writes on that
+    /// are rebuilt.
+    pages: FxHashMap<Addr, PageBuild>,
 }
 
-/// Builds crash images — media with the persistence domain's writes laid
-/// over — and remembers the pages the last image built, so the next image
-/// of the same machine and battery state shares them where nothing under
-/// them changed.
-///
-/// A page keeps the last image's pointer when its media page is the same
-/// `Arc` and the ordered writes landing on it are the same; every other
-/// page with writes is built afresh from media's page and its writes, in
-/// crash order. A fresh basis has no last image, so it builds every such
-/// page: the one overlay definition, with or without a last image.
-///
-/// What a basis keeps pins memory — the pages it built and the media
-/// pages under them — and the live media copies a pinned page on its next
-/// write instead of writing it in place.
-///
-/// # Examples
-///
-/// ```
-/// use bbb_mem::{ByteStore, ImageBasis};
-/// let mut media = ByteStore::new();
-/// media.write_u64(0x1000, 1);
-/// let mut basis = ImageBasis::default();
-/// basis.write(0x1008, &2u64.to_le_bytes());
-/// let first = basis.build(media.clone());
-/// assert_eq!((first.read_u64(0x1000), first.read_u64(0x1008)), (1, 2));
-///
-/// // The same writes over the same media page: the page is kept.
-/// basis.write(0x1008, &2u64.to_le_bytes());
-/// let second = basis.build(media.clone());
-/// assert_eq!(first.pin(0x1000).changed_blocks(&second, 0x1000), None);
-///
-/// // Another write to it builds it again.
-/// basis.write(0x1010, &3u64.to_le_bytes());
-/// let third = basis.build(media.clone());
-/// assert_eq!(second.pin(0x1000).changed_blocks(&third, 0x1000), Some(1));
-/// ```
-#[derive(Debug, Default)]
-pub struct ImageBasis {
-    /// The next image's writes, and the pages they land on.
-    patches: Vec<Patch>,
-    next: FxHashMap<Addr, Overlay>,
-    /// The last image's writes, and the pages it built.
-    last: Vec<Patch>,
-    pages: FxHashMap<Addr, Overlay>,
-    /// Media pages the last build laid writes over.
-    overlaid: u64,
-}
-
-impl ImageBasis {
-    /// Records a write of the next image: `data` at `addr`, after every
-    /// write recorded before it.
+impl PageWrites {
+    /// Lays `data` at `addr` over everything laid before it. A partial
+    /// build lays only writes on its rebuilt blocks: the caller filters.
     ///
     /// # Panics
     ///
-    /// If `data` is longer than a block or crosses a page boundary.
+    /// If `data` is longer than a block or crosses a page boundary, or if
+    /// a partial build does not rebuild the page.
     pub fn write(&mut self, addr: Addr, data: &[u8]) {
         let offset = (addr as usize) & (PAGE_BYTES - 1);
         assert!(
             data.len() <= BLOCK_BYTES && offset + data.len() <= PAGE_BYTES,
             "a crash write lies within one block"
         );
-        let mut bytes = [0; BLOCK_BYTES];
-        bytes[..data.len()].copy_from_slice(data);
-        let at = self.patches.len() as u32;
-        self.patches.push(Patch {
-            offset: offset as u16,
-            len: data.len() as u8,
-            bytes,
-            next: END,
-        });
-        let page = addr - offset as Addr;
-        let run = self.next.entry(page).or_insert(Overlay {
-            first: at,
-            last: at,
-            count: 0,
-            media: None,
-            built: None,
-        });
-        if run.count > 0 {
-            self.patches[run.last as usize].next = at;
-        }
-        run.last = at;
-        run.count += 1;
-    }
-
-    /// The crash image of `media`, a snapshot of the live media, with the
-    /// writes recorded since the last build laid over it. The basis then
-    /// describes this image.
-    #[must_use]
-    pub fn build(&mut self, mut media: ByteStore) -> NvmImage {
+        let at = addr - offset as Addr;
         let Self {
-            patches,
-            next,
-            last,
+            media,
+            rebuilt,
             pages,
-            overlaid,
         } = self;
-        *overlaid = 0;
-        // Pages are independent, so any order builds the same image.
-        for (&page, run) in next.iter_mut() {
-            let under = media.page_for(page).cloned();
-            *overlaid += u64::from(under.is_some());
-            let kept = pages.get(&page).filter(|old| {
-                old.media.as_ref().map(Arc::as_ptr) == under.as_ref().map(Arc::as_ptr)
-                    && old.count == run.count
-                    && writes(last, old.first)
-                        .zip(writes(patches, run.first))
-                        .all(|(a, b)| a.same(b))
+        // A page the last image laid nothing on joins at its first write.
+        let build = pages.entry(at).or_insert_with(|| {
+            let rebuilt = rebuilt.as_deref().map_or(!0, |masks| {
+                let i = masks.binary_search_by_key(&at, |&(page, _)| page);
+                masks[i.expect("a write on a rebuilt page")].1
             });
-            let built = match kept.and_then(|old| old.built.clone()) {
-                Some(page) => page,
-                None => {
-                    let mut built = under.clone().unwrap_or_else(|| Arc::new([0; PAGE_BYTES]));
-                    let bytes = Arc::make_mut(&mut built);
-                    for p in writes(patches, run.first) {
-                        let (at, len) = (usize::from(p.offset), usize::from(p.len));
-                        bytes[at..at + len].copy_from_slice(&p.bytes[..len]);
-                    }
-                    built
-                }
-            };
-            media.set_page(page, Arc::clone(&built));
-            (run.media, run.built) = (under, Some(built));
+            PageBuild {
+                rebuilt,
+                written: 0,
+                kept: 0,
+                last: None,
+                page: None,
+            }
+        });
+        build.page(media.page_for(at))[offset..offset + data.len()].copy_from_slice(data);
+        build.written |= 1 << (offset / BLOCK_BYTES);
+    }
+}
+
+/// The next image of an [`ImageBasis`] under construction
+/// ([`ImageBasis::start`]): the blocks it rebuilds, and the writes laid
+/// so far.
+#[derive(Debug)]
+pub struct ImageBuild {
+    /// The rebuilt blocks per page, ascending, as masks of the page's
+    /// blocks; `None` in a full build.
+    rebuilt: Option<Arc<[(Addr, u64)]>>,
+    writes: PageWrites,
+    /// Where the change log stands.
+    mark: LogMark,
+}
+
+impl ImageBuild {
+    /// The blocks to rebuild — per page in ascending page order, as a
+    /// mask of the page's 64 blocks; `None` for every block (a full
+    /// build) — and the sink for the persistence domain's writes on them,
+    /// to be laid in crash order.
+    pub fn parts(&mut self) -> (Option<&[(Addr, u64)]>, &mut PageWrites) {
+        (self.rebuilt.as_deref(), &mut self.writes)
+    }
+}
+
+/// Distinct pages a partial build rebuilds at most; a log naming more
+/// (a bulk load, say) is built in full.
+const MAX_REBUILT_PAGES: usize = 64;
+
+/// Sets `masks` to the blocks of `since` per page, in ascending page
+/// order, as masks; false past [`MAX_REBUILT_PAGES`] pages.
+fn page_masks(since: impl Iterator<Item = BlockAddr>, masks: &mut Vec<(Addr, u64)>) -> bool {
+    masks.clear();
+    for block in since {
+        let at = block.base() & !(PAGE_BYTES as Addr - 1);
+        let bit = 1 << ((block.base() - at) / BLOCK_BYTES as Addr);
+        let full = masks.len() == MAX_REBUILT_PAGES;
+        // Consecutive blocks mostly share a page: search from the back.
+        match masks.iter_mut().rev().find(|(page, _)| *page == at) {
+            Some((_, mask)) => *mask |= bit,
+            None if full => return false,
+            None => masks.push((at, bit)),
         }
-        std::mem::swap(pages, next);
-        std::mem::swap(last, patches);
-        // The image before the last pins nothing.
-        next.clear();
-        patches.clear();
-        NvmImage::from_store(media)
+    }
+    masks.sort_unstable_by_key(|&(page, _)| page);
+    true
+}
+
+/// A page the last image laid writes on.
+#[derive(Debug)]
+struct Overlay {
+    built: Arc<Page>,
+    /// The blocks of the page some write landed on.
+    written: u64,
+    /// Whether media had the page (a build from media alone copies it).
+    on_media: bool,
+}
+
+/// Builds crash images — media with the persistence domain's writes laid
+/// over — and remembers the pages the last image laid writes on, so the
+/// next image of the same machine and battery state rebuilds only what
+/// changed.
+///
+/// A basis remembers where the machine's [`ChangeLog`] stood at its last
+/// image. The next image is the last one with only the blocks logged
+/// since rebuilt: media's bytes there plus the domain's writes on them,
+/// in crash order. Every other page keeps the last image's page, which
+/// media and the writes under it left as they were. A fresh basis, or
+/// one whose mark the log no longer holds, builds every page: the one
+/// overlay definition, with or without a last image.
+///
+/// What a basis keeps pins memory — the pages it built — and a page it
+/// rebuilds is rebuilt in place once nothing else holds it. The image it
+/// returns names its rebuilt blocks ([`NvmImage::changes_since`]).
+///
+/// # Examples
+///
+/// ```
+/// use bbb_mem::{ByteStore, ChangeLog, ImageBasis};
+/// use bbb_sim::BlockAddr;
+/// let mut log = ChangeLog::default();
+/// let mut media = ByteStore::new();
+/// media.write_u64(0x1000, 1);
+/// let mut basis = ImageBasis::default();
+/// let lay = |basis: &mut ImageBasis, media: &ByteStore, log: &ChangeLog, v: u64| {
+///     let mut build = basis.start(log, media.clone());
+///     let (only, writes) = build.parts();
+///     // Block 0 of page 0x1000 holds the write.
+///     if only.map_or(true, |pages| pages.contains(&(0x1000, 1))) {
+///         writes.write(0x1008, &v.to_le_bytes());
+///     }
+///     basis.finish(build)
+/// };
+/// let first = lay(&mut basis, &media, &log, 2);
+/// assert_eq!((first.read_u64(0x1000), first.read_u64(0x1008)), (1, 2));
+///
+/// // Nothing logged: the page is kept.
+/// let second = lay(&mut basis, &media, &log, 2);
+/// assert_eq!(first.pin(0x1000).changed_blocks(&second, 0x1000), None);
+/// assert_eq!(second.changes_since(first.id()), Some(&[][..]));
+///
+/// // A logged write rebuilds its block.
+/// log.note(BlockAddr::containing(0x1008));
+/// let third = lay(&mut basis, &media, &log, 3);
+/// assert_eq!(third.read_u64(0x1008), 3);
+/// assert_eq!(third.changes_since(second.id()), Some(&[(0x1000, 1)][..]));
+/// ```
+#[derive(Debug, Default)]
+pub struct ImageBasis {
+    /// Given at the first image.
+    id: Option<u64>,
+    /// Images built so far.
+    images: u64,
+    /// Where the change log stood at the last image; `None` before the
+    /// first, and while a build is under way.
+    mark: Option<LogMark>,
+    /// The last image's pages with writes on them.
+    pages: FxHashMap<Addr, Overlay>,
+    /// Media pages under them.
+    overlaid: u64,
+    /// Empty buffers kept for the next build.
+    spare: FxHashMap<Addr, PageBuild>,
+    masks: Vec<(Addr, u64)>,
+}
+
+impl ImageBasis {
+    /// Starts the next image over `media`, a snapshot of the live media,
+    /// with `log` the machine's change log: a build of the blocks logged
+    /// since the last image, or of every block. The pages it rebuilds
+    /// leave the basis until [`ImageBasis::finish`], so a build dropped
+    /// unfinished leaves the next one building in full.
+    #[must_use]
+    pub fn start(&mut self, log: &ChangeLog, media: ByteStore) -> ImageBuild {
+        let since = self.mark.take().and_then(|mark| log.since(mark));
+        let partial = since.is_some_and(|since| page_masks(since, &mut self.masks));
+        let mut pages = std::mem::take(&mut self.spare);
+        let rebuilt = partial.then(|| {
+            for &(at, mask) in &self.masks {
+                if let Some(last) = self.pages.remove(&at) {
+                    let build = PageBuild {
+                        rebuilt: mask,
+                        written: 0,
+                        kept: last.written & !mask,
+                        last: Some(last.built),
+                        page: None,
+                    };
+                    pages.insert(at, build);
+                }
+            }
+            Arc::from(&self.masks[..])
+        });
+        ImageBuild {
+            rebuilt: rebuilt.clone(),
+            writes: PageWrites {
+                media,
+                rebuilt,
+                pages,
+            },
+            mark: log.mark(),
+        }
     }
 
-    /// Media pages the last [`ImageBasis::build`] laid writes over: the
-    /// pages a build with no last image copies.
+    /// The image `build` laid; the basis then describes it.
+    #[must_use]
+    pub fn finish(&mut self, build: ImageBuild) -> NvmImage {
+        let ImageBuild {
+            rebuilt,
+            writes:
+                PageWrites {
+                    mut media,
+                    mut pages,
+                    ..
+                },
+            mark,
+        } = build;
+        if rebuilt.is_none() {
+            self.pages.clear();
+        }
+        // Pages are independent, so any order builds the same image.
+        for (at, mut page) in pages.drain() {
+            let written = page.kept | page.written;
+            if written == 0 {
+                continue;
+            }
+            let under = media.page_for(at).cloned();
+            page.page(under.as_ref());
+            let overlay = Overlay {
+                built: page.page.expect("built above"),
+                written,
+                on_media: under.is_some(),
+            };
+            self.pages.insert(at, overlay);
+        }
+        self.spare = pages;
+        self.overlaid = 0;
+        for (&at, overlay) in &self.pages {
+            media.set_page(at, Arc::clone(&overlay.built));
+            self.overlaid += u64::from(overlay.on_media);
+        }
+        self.mark = Some(mark);
+        self.images += 1;
+        let id = ImageId {
+            basis: *self.id.get_or_insert_with(|| {
+                static NEXT: AtomicU64 = AtomicU64::new(0);
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            }),
+            seq: self.images,
+        };
+        NvmImage {
+            store: media,
+            lineage: Some(Lineage { id, rebuilt }),
+        }
+    }
+
+    /// Media pages the last image laid writes over: the pages a build
+    /// with no last image copies.
     #[must_use]
     pub fn overlaid(&self) -> u64 {
         self.overlaid
@@ -386,19 +578,34 @@ impl PinnedPage {
     /// itself (or neither has the page). An absent page reads as zeros.
     #[must_use]
     pub fn changed_blocks(&self, image: &NvmImage, addr: Addr) -> Option<u64> {
+        self.changed_blocks_in(image, addr, !0)
+    }
+
+    /// [`PinnedPage::changed_blocks`] reading only the blocks of `mask`:
+    /// for a caller that knows the others are unchanged
+    /// ([`NvmImage::changes_since`]).
+    #[must_use]
+    pub fn changed_blocks_in(&self, image: &NvmImage, addr: Addr, mask: u64) -> Option<u64> {
         fn block(page: Option<&Arc<Page>>, i: usize) -> &[u8] {
-            const ZERO: [u8; BLOCK_BYTES] = [0; BLOCK_BYTES];
-            page.map_or(&ZERO, |p| &p[i * BLOCK_BYTES..][..BLOCK_BYTES])
+            page.map_or(&ZERO_PAGE[..BLOCK_BYTES], |p| {
+                &p[i * BLOCK_BYTES..][..BLOCK_BYTES]
+            })
         }
         let (pinned, now) = (self.0.as_ref(), image.store.page_for(addr));
         match (pinned, now) {
             (None, None) => None,
             (Some(a), Some(b)) if Arc::ptr_eq(a, b) => None,
-            _ => Some(
-                (0..PAGE_BYTES / BLOCK_BYTES)
-                    .filter(|&i| block(pinned, i) != block(now, i))
-                    .fold(0, |mask, i| mask | 1 << i),
-            ),
+            _ => {
+                let (mut left, mut changed) = (mask, 0);
+                while left != 0 {
+                    let i = left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    if block(pinned, i) != block(now, i) {
+                        changed |= 1 << i;
+                    }
+                }
+                Some(changed)
+            }
         }
     }
 }

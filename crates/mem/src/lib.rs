@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod backing;
+pub mod changes;
 pub mod controller;
 pub mod endurance;
 pub mod image;
@@ -36,8 +37,9 @@ pub mod sched;
 pub mod wpq;
 
 pub use backing::{ByteStore, PAGE_BYTES};
+pub use changes::{ChangeLog, LogMark};
 pub use controller::{DramController, NvmmController, WriteOutcome};
 pub use endurance::EnduranceTracker;
-pub use image::{ImageBasis, ImageReader, NvmImage, PinnedPage};
+pub use image::{ImageBasis, ImageBuild, ImageId, ImageReader, NvmImage, PageWrites, PinnedPage};
 pub use sched::ChannelScheduler;
 pub use wpq::WritePendingQueue;

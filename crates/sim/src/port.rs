@@ -22,8 +22,10 @@ pub trait MemoryPort {
     /// Read-modify-writes `bytes` at `offset` within `block` as a single
     /// block write (store-granular persist-buffer drains). The default
     /// implementation reads through the timed path and then writes, which
-    /// inflates read counters; real controllers override it to patch media
-    /// directly.
+    /// counts a read and pays its latency. The DRAM and NVMM controllers
+    /// override it to patch media directly, but the system's routing port
+    /// (`bbb-core`'s `Memories`) does not, so live processor-side and BEP
+    /// drains take the timed read (ROADMAP item 5).
     ///
     /// # Panics
     ///
@@ -35,6 +37,13 @@ pub trait MemoryPort {
         data[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.write_block(now, block, data)
     }
+
+    /// Tells the port that the crash-surviving bytes of `block` may have
+    /// changed above it: a cache line or a persist-buffer entry of the
+    /// block was installed, changed or removed. A port that keeps a log
+    /// of such blocks (the NVMM controller's) records it; the default
+    /// ignores it. Media writes through the port need no such note.
+    fn note_change(&mut self, _block: BlockAddr) {}
 
     /// Convenience: the block containing `addr`.
     fn block_of(&self, addr: Addr) -> BlockAddr {

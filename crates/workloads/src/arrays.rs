@@ -19,7 +19,7 @@
 
 use bbb_core::Workload;
 use bbb_cpu::Op;
-use bbb_mem::{ByteStore, NvmImage, PinnedPage, PAGE_BYTES};
+use bbb_mem::{ByteStore, ImageId, NvmImage, PinnedPage, PAGE_BYTES};
 use bbb_sim::{Addr, AddressMap, SplitMix64, BLOCK_BYTES};
 
 use crate::builder::OpBuilder;
@@ -222,6 +222,8 @@ pub(crate) struct ArrayOracle {
     originals: u64,
     /// Indices in `pins` of the pages whose pointer moved.
     moved: Vec<usize>,
+    /// The image the pins hold, when a basis built it.
+    image: Option<ImageId>,
 }
 
 impl ArrayOracle {
@@ -234,6 +236,7 @@ impl ArrayOracle {
             pins: Vec::new(),
             originals: 0,
             moved: Vec::new(),
+            image: None,
         }
     }
 
@@ -253,17 +256,28 @@ impl ArrayOracle {
                     let pages = self.base / PAGE..=(end - 1) / PAGE;
                     self.pins = pages.map(|p| image.pin(p * PAGE)).collect();
                     self.originals = originals;
+                    self.image = image.id();
                 }
                 self.verified = true;
             }
             return verdict;
         }
+        // The pages to compare, as indices in `pins`, and their blocks
+        // that can have changed: those the image names when it follows
+        // the pinned one, else all.
+        let (first, len) = (self.base / PAGE, self.pins.len());
+        let rebuilt = image.changes_since(self.image);
+        let hinted = rebuilt.into_iter().flatten().filter_map(|&(page, mask)| {
+            let k = usize::try_from((page / PAGE).checked_sub(first)?).ok()?;
+            (k < len).then_some((k, mask))
+        });
+        let all = (0..if rebuilt.is_none() { len } else { 0 }).map(|k| (k, !0));
         let mut originals = self.originals;
         let mut now = image.reader();
         self.moved.clear();
-        for (k, pin) in self.pins.iter().enumerate() {
-            let page = (self.base / PAGE + k as u64) * PAGE;
-            let Some(mut changed) = pin.changed_blocks(image, page) else {
+        for (k, mask) in hinted.chain(all) {
+            let (pin, page) = (&self.pins[k], (first + k as u64) * PAGE);
+            let Some(mut changed) = pin.changed_blocks_in(image, page, mask) else {
                 continue;
             };
             self.moved.push(k);
@@ -282,9 +296,10 @@ impl ArrayOracle {
             }
         }
         for &k in &self.moved {
-            self.pins[k] = image.pin((self.base / PAGE + k as u64) * PAGE);
+            self.pins[k] = image.pin((first + k as u64) * PAGE);
         }
         self.originals = originals;
+        self.image = image.id();
         Ok(originals)
     }
 }

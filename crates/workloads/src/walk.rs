@@ -35,7 +35,10 @@
 //! compared, block by block (64 B). Nodes on a changed block, and their
 //! ancestors through the stored parent links, are walked again; every
 //! clean child contributes its summary unread. A crash sweep builds each
-//! image on the last one, so a page nothing wrote keeps its pointer.
+//! image on the last one, so a page nothing wrote keeps its pointer, and
+//! the image names the blocks it rebuilt: when it is the next image of
+//! the one the pins hold, only the pinned pages holding those blocks are
+//! compared, and only those blocks ([`NvmImage::changes_since`]).
 //!
 //! Root slots longer than one block — the hash map's bucket array — are
 //! memoized per block: each block of slots is a memo group between the
@@ -79,7 +82,7 @@
 //! memo is flat — vectors and two hash maps, with no allocation per node
 //! — and grows by a quarter at a time.
 
-use bbb_mem::{ImageReader, NvmImage, PinnedPage, PAGE_BYTES};
+use bbb_mem::{ImageId, ImageReader, NvmImage, PinnedPage, PAGE_BYTES};
 use bbb_sim::{Addr, AddressMap, FxHashMap, BLOCK_BYTES};
 
 /// The error of a walk that visited more nodes than the heap holds.
@@ -297,6 +300,9 @@ struct Memo {
     built: usize,
     /// The current check, counted from 1.
     generation: u32,
+    /// The image the pins hold, when a basis built it: the next image of
+    /// that basis names the blocks that can have changed since.
+    image: Option<ImageId>,
 }
 
 impl Memo {
@@ -564,7 +570,9 @@ impl<S: Shape> Walker<S> {
     }
 
     /// Marks the memo nodes on blocks `image` changed, and their
-    /// ancestors, dirty.
+    /// ancestors, dirty. When `image` names the blocks that can differ
+    /// from the pinned one ([`NvmImage::changes_since`]), only those are
+    /// compared; otherwise every pinned page is.
     fn diff(&mut self, image: &NvmImage) {
         let s = &mut self.work;
         let Memo {
@@ -573,11 +581,12 @@ impl<S: Shape> Walker<S> {
             pages,
             on_block,
             generation,
+            image: pinned_image,
             ..
         } = &mut self.memo;
-        for (&base, pinned) in pages.iter() {
-            let Some(mut changed) = pinned.pin.changed_blocks(image, base) else {
-                continue;
+        let mut diff_page = |base: Addr, pinned: &Pinned, mask: u64| {
+            let Some(mut changed) = pinned.pin.changed_blocks_in(image, base, mask) else {
+                return;
             };
             s.moved.push(base);
             while changed != 0 {
@@ -588,6 +597,20 @@ impl<S: Shape> Walker<S> {
                     l = link.next;
                     let (stack, dirty) = (&mut s.stack, &mut s.dirty);
                     mark(nodes, parents, *generation, link.node, stack, dirty);
+                }
+            }
+        };
+        match image.changes_since(*pinned_image) {
+            Some(rebuilt) => {
+                for &(base, mask) in rebuilt {
+                    if let Some(pinned) = pages.get(&base) {
+                        diff_page(base, pinned, mask);
+                    }
+                }
+            }
+            None => {
+                for (&base, pinned) in pages.iter() {
+                    diff_page(base, pinned, !0);
                 }
             }
         }
@@ -628,6 +651,7 @@ impl<S: Shape> Walker<S> {
                 p.pin = image.pin(base);
             }
         }
+        memo.image = image.id();
     }
 
     /// Drops an undecided walk's records: restores the memo nodes it

@@ -1,16 +1,20 @@
 //! Crash images built on the last image against the full build.
 //!
 //! `CrashSweep::crash` builds each fresh image on the last one of the
-//! same battery state, keeping every page whose media page and overlay
-//! writes are unchanged. Each image it returns must equal
-//! `System::crash_image` at the same point byte for byte. Checked here at
-//! every point of the crashfuzz grids, in both battery states, and op by
+//! same battery state, rebuilding only the blocks the machine's change
+//! log recorded since. Each image it returns must equal
+//! `System::crash_image` at the same point byte for byte, and the media
+//! pages its overlay lands on (`SweepPerf::pages_copied`) must be those a
+//! full build lays writes over. Checked here at every point of the
+//! crashfuzz grids, in both battery states — on the default machine, with
+//! a relaxed store-buffer drain (which feeds processor-side buffers out of
+//! τ order) and with store buffers outside the battery domain — and op by
 //! op on a two-core machine whose cores store to one word.
 //!
 //! The non-smoke grid is `#[ignore]`d; run it in release with
 //! `cargo test --release --test image_basis -- --include-ignored`.
 
-use bbb::core::{ByteStore, Op, PersistencyMode, Workload};
+use bbb::core::{ByteStore, ImageBasis, Op, PersistencyMode, Workload};
 use bbb::crashfuzz::{
     lost_updates_observable, reference_run, CrashSweep, GridSpec, Point, SweepConfig,
     CRASHFUZZ_SEED,
@@ -19,19 +23,17 @@ use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::suite::with_epoch_barriers;
 use bbb::workloads::{make_workload, WorkloadKind, WorkloadParams};
 
-/// Every configuration `crashfuzz` sweeps with `params` and `grid`.
-fn configs(params: WorkloadParams, grid: GridSpec) -> Vec<SweepConfig> {
-    let cfg = SimConfig::default();
+/// Every configuration `crashfuzz` sweeps with `params` and `grid`, on
+/// machine `cfg`.
+fn configs(cfg: &SimConfig, params: WorkloadParams, grid: GridSpec) -> Vec<SweepConfig> {
     let mut out = Vec::new();
     for kind in WorkloadKind::ALL {
         for mode in PersistencyMode::ALL {
-            out.push(SweepConfig::paper_discipline(
-                kind, mode, &cfg, params, grid,
-            ));
+            out.push(SweepConfig::paper_discipline(kind, mode, cfg, params, grid));
         }
         if lost_updates_observable(kind) {
             for mode in [PersistencyMode::Pmem, PersistencyMode::Bep] {
-                out.push(SweepConfig::lossy(kind, mode, &cfg, params, grid));
+                out.push(SweepConfig::lossy(kind, mode, cfg, params, grid));
             }
         }
     }
@@ -39,22 +41,48 @@ fn configs(params: WorkloadParams, grid: GridSpec) -> Vec<SweepConfig> {
 }
 
 /// Asserts that `engine`'s fresh images in both battery states equal the
-/// full build; returns how many it compared.
+/// full build, and count the media pages the full build overlays; returns
+/// how many it compared.
 fn compare(engine: &mut CrashSweep, case: &str) -> usize {
     let mut compared = 0;
     for battery_ok in [true, false] {
+        let copied = engine.perf().pages_copied;
         if let Some(image) = engine.crash(battery_ok) {
-            let full = engine.system().crash_image(battery_ok);
+            let mut full_basis = ImageBasis::default();
+            let full = engine.system().crash_image_on(battery_ok, &mut full_basis);
             assert!(image == full, "{case}, battery {battery_ok}");
+            assert_eq!(
+                engine.perf().pages_copied - copied,
+                full_basis.overlaid(),
+                "{case}, battery {battery_ok}: pages copied"
+            );
             compared += 1;
         }
     }
     compared
 }
 
-fn grid_differential(params: WorkloadParams, grid: GridSpec) {
+/// The default machine, one draining its store buffers relaxed, and one
+/// whose store buffers the battery does not back.
+fn machines() -> [(&'static str, SimConfig); 3] {
+    let relaxed = SimConfig {
+        relaxed_sb_drain: true,
+        ..SimConfig::default()
+    };
+    let unbacked = SimConfig {
+        battery_backed_sb: false,
+        ..SimConfig::default()
+    };
+    [
+        ("default", SimConfig::default()),
+        ("relaxed drain", relaxed),
+        ("unbacked SB", unbacked),
+    ]
+}
+
+fn grid_differential(cfg: &SimConfig, params: WorkloadParams, grid: GridSpec) {
     let (mut compared, mut copied) = (0, 0);
-    for cfg in configs(params, grid) {
+    for cfg in configs(cfg, params, grid) {
         let points = reference_run(&cfg).plan(&cfg.grid);
         let mut feed = make_workload(cfg.workload, &cfg.cfg, cfg.params);
         if cfg.epoch_barriers {
@@ -71,25 +99,59 @@ fn grid_differential(params: WorkloadParams, grid: GridSpec) {
     assert!(copied > 0, "the overlay landed on no media page");
 }
 
-#[test]
-fn smoke_grid_images_match_the_full_build() {
+fn smoke_grid(machine: usize) {
     let grid = GridSpec {
         seed: CRASHFUZZ_SEED,
         ..GridSpec::smoke()
     };
-    grid_differential(WorkloadParams::smoke(), grid);
+    let (name, cfg) = &machines()[machine];
+    eprintln!("smoke grid, {name} machine");
+    grid_differential(cfg, WorkloadParams::smoke(), grid);
 }
 
-#[test]
-#[ignore = "the non-smoke grid: run in release"]
-fn full_grid_images_match_the_full_build() {
+fn full_grid(machine: usize) {
     let params = WorkloadParams {
         initial: 2048,
         per_core_ops: 256,
         seed: 0xB0B,
         instrument: false,
     };
-    grid_differential(params, GridSpec::bounded(512, 128, CRASHFUZZ_SEED));
+    let (name, cfg) = &machines()[machine];
+    eprintln!("non-smoke grid, {name} machine");
+    grid_differential(cfg, params, GridSpec::bounded(512, 128, CRASHFUZZ_SEED));
+}
+
+#[test]
+fn smoke_grid_images_match_the_full_build() {
+    smoke_grid(0);
+}
+
+#[test]
+fn smoke_grid_images_match_the_full_build_with_relaxed_drain() {
+    smoke_grid(1);
+}
+
+#[test]
+fn smoke_grid_images_match_the_full_build_with_an_unbacked_store_buffer() {
+    smoke_grid(2);
+}
+
+#[test]
+#[ignore = "the non-smoke grid: run in release"]
+fn full_grid_images_match_the_full_build() {
+    full_grid(0);
+}
+
+#[test]
+#[ignore = "the non-smoke grid: run in release"]
+fn full_grid_images_match_the_full_build_with_relaxed_drain() {
+    full_grid(1);
+}
+
+#[test]
+#[ignore = "the non-smoke grid: run in release"]
+fn full_grid_images_match_the_full_build_with_an_unbacked_store_buffer() {
+    full_grid(2);
 }
 
 /// A feed with nothing to run: the ops come through `Point::Op`.

@@ -6,7 +6,9 @@
 //! must be the one a fresh oracle gives. Checked here on every fresh
 //! crash image of the crashfuzz grids for the crit-bit tree, R-tree,
 //! hash map and B-tree, one oracle per battery state as the sweep keeps
-//! them; on every hostile image of `hostile_trees.rs` after a memo was
+//! them, where each image names the blocks it rebuilt and the oracle
+//! diffs only those; on every other image of a sweep, arrays included,
+//! which names nothing the oracle can use; on every hostile image of `hostile_trees.rs` after a memo was
 //! built on a valid image; on a clean subtree pushed past the depth
 //! limit; on random sequences moving between valid and hostile images,
 //! arrays included, so the memo follows failing images; and on hash-map
@@ -56,18 +58,27 @@ fn configs(kind: WorkloadKind, params: WorkloadParams, grid: GridSpec) -> Vec<Sw
     out
 }
 
-/// Crashes `cfg`'s run at every planned point and at its end, checking
-/// each fresh image with the battery state's kept oracle and with a fresh
-/// one. Returns the images compared and how many failed.
-fn differential(cfg: &SweepConfig) -> (usize, usize) {
+/// A crash-sweep engine at cycle zero of `cfg`'s run, and its planned
+/// points.
+fn engine(cfg: &SweepConfig) -> (CrashSweep, Vec<u64>) {
     let points = reference_run(cfg).plan(&cfg.grid);
     let mut feed = make_workload(cfg.workload, &cfg.cfg, cfg.params);
     if cfg.epoch_barriers {
         feed = with_epoch_barriers(feed);
     }
-    let mut engine = CrashSweep::new(&cfg.cfg, cfg.mode, feed);
+    (CrashSweep::new(&cfg.cfg, cfg.mode, feed), points)
+}
+
+/// Crashes `cfg`'s run at every planned point and at its end, checking
+/// each fresh image with the battery state's kept oracle and with a fresh
+/// one. Returns the images compared, how many failed, and how many named
+/// the blocks that changed since the image before, which the kept oracle
+/// checked: those it diffs on the named blocks alone.
+fn differential(cfg: &SweepConfig) -> (usize, usize, usize) {
+    let (mut engine, points) = engine(cfg);
     let mut kept = [fresh_oracle(cfg), fresh_oracle(cfg)];
-    let (mut compared, mut failed) = (0, 0);
+    let mut last = [None, None];
+    let (mut compared, mut failed, mut hinted) = (0, 0, 0);
     let stops = points.iter().map(|&p| Point::Cycle(p));
     for stop in stops.chain([Point::End]) {
         engine.advance(stop);
@@ -78,7 +89,10 @@ fn differential(cfg: &SweepConfig) -> (usize, usize) {
             let Some(image) = engine.crash(battery_ok) else {
                 continue;
             };
-            let memo = kept[usize::from(battery_ok)].check(&image);
+            let k = usize::from(battery_ok);
+            hinted += usize::from(image.changes_since(last[k]).is_some());
+            last[k] = image.id();
+            let memo = kept[k].check(&image);
             let full = fresh_oracle(cfg).check(&image);
             assert_eq!(
                 memo,
@@ -90,20 +104,73 @@ fn differential(cfg: &SweepConfig) -> (usize, usize) {
             failed += usize::from(!full.ok());
         }
     }
-    (compared, failed)
+    (compared, failed, hinted)
 }
 
 fn grid_differential(params: WorkloadParams, grid: GridSpec) {
     for kind in MEMO_KINDS {
-        let (mut compared, mut failed) = (0, 0);
+        let (mut compared, mut failed, mut hinted) = (0, 0, 0);
         for cfg in configs(kind, params, grid) {
-            let (c, f) = differential(&cfg);
+            let (c, f, h) = differential(&cfg);
             compared += c;
             failed += f;
+            hinted += h;
         }
         // Both verdicts occur: the memo is rebuilt past failures.
         assert!(compared > 100, "{}: {compared} images", kind.name());
         assert!(failed > 0, "{}: no failing image", kind.name());
+        // All but the first image of each battery state (and any after
+        // the change log overflowed) name their changed blocks.
+        assert!(
+            hinted * 10 > compared * 9,
+            "{}: {hinted} of {compared} images hinted",
+            kind.name()
+        );
+    }
+}
+
+/// A kept oracle that checks every other image of a sweep, as a caller
+/// sampling the images would: none follows the one the oracle checked
+/// last, so none may be diffed on its own changed blocks, and every
+/// report must still be the fresh oracle's.
+#[test]
+fn images_that_skip_one_take_the_full_diff() {
+    let grid = GridSpec {
+        seed: CRASHFUZZ_SEED,
+        ..GridSpec::smoke()
+    };
+    let kinds = MEMO_KINDS.into_iter().chain([WorkloadKind::SwapC]);
+    for kind in kinds {
+        for mode in [PersistencyMode::Eadr, PersistencyMode::BbbProcessorSide] {
+            let cfg = SweepConfig::paper_discipline(
+                kind,
+                mode,
+                &SimConfig::default(),
+                WorkloadParams::smoke(),
+                grid,
+            );
+            let (mut engine, points) = engine(&cfg);
+            let mut kept = fresh_oracle(&cfg);
+            let (mut checked, mut last, mut take) = (0, None, true);
+            for &p in &points {
+                engine.advance(Point::Cycle(p));
+                let Some(image) = engine.crash(true) else {
+                    continue;
+                };
+                if take {
+                    if last.is_some() {
+                        assert_eq!(image.changes_since(last), None, "{}", cfg.label());
+                    }
+                    let label = format!("{} at {p}", cfg.label());
+                    let fresh = fresh_oracle(&cfg).check(&image);
+                    assert_eq!(kept.check(&image), fresh, "{label}");
+                    last = image.id();
+                    checked += 1;
+                }
+                take = !take;
+            }
+            assert!(checked > 20, "{}: {checked} images", cfg.label());
+        }
     }
 }
 
