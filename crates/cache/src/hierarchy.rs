@@ -66,16 +66,12 @@ pub struct CacheHierarchy {
     l2_lat: Cycle,
     noc: Cycle,
     counters: Counters,
-    /// Monotone mutation counter: bumped on every access that can change
-    /// cached *contents* — L1-miss reads, writes, flushes. L1 read hits
-    /// only refresh LRU stamps and are not counted. Coarse on purpose —
-    /// an unchanged version proves unchanged dirty contents; the converse
-    /// need not hold.
-    version: u64,
-    /// Whether the same accesses report the block, and every victim they
-    /// evict, to the memory port ([`MemoryPort::note_change`]): the
+    /// Whether every access that can change cached *contents* — L1-miss
+    /// reads, writes, flushes — reports its block, and every victim it
+    /// evicts, to the memory port ([`MemoryPort::note_change`]): the
     /// blocks whose crash image may have changed where dirty lines
-    /// survive a crash (eADR). On unless the owner turns it off.
+    /// survive a crash (eADR). L1 read hits only refresh LRU stamps and
+    /// report nothing. On unless the owner turns it off.
     change_notes: bool,
 }
 
@@ -91,7 +87,6 @@ impl CacheHierarchy {
             l2_lat: cfg.l2.latency,
             noc: cfg.noc_hop,
             counters: Counters::default(),
-            version: 0,
             change_notes: true,
         }
     }
@@ -109,13 +104,6 @@ impl CacheHierarchy {
         if self.change_notes {
             mem.note_change(block);
         }
-    }
-
-    /// Monotone mutation counter: equal versions within one hierarchy's
-    /// lifetime prove no access touched the caches in between.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of cores (L1 caches).
@@ -153,7 +141,7 @@ impl CacheHierarchy {
         if let Some(line) = self.l1s[core].touch(block) {
             if line.state.readable() {
                 // L1 read hits refresh LRU stamps only — they cannot change
-                // any cached *contents*, so the mutation counter stays put.
+                // any cached *contents*, so they report no change.
                 self.counters.l1_hits.inc();
                 return (
                     AccessResult {
@@ -164,7 +152,6 @@ impl CacheHierarchy {
                 );
             }
         }
-        self.version += 1;
         self.note(mem, block);
         self.counters.l1_misses.inc();
         let mut t = now + self.l1_lat + self.noc + self.l2_lat;
@@ -261,7 +248,6 @@ impl CacheHierarchy {
         hooks: &mut dyn CoherenceHooks,
     ) -> AccessResult {
         assert!(offset + bytes.len() <= BLOCK_BYTES, "store exceeds block");
-        self.version += 1;
         self.note(mem, block);
         // Fast path: the requester already owns the line — M outright, or E
         // via the silent upgrade (the directory records us as owner either
@@ -395,7 +381,6 @@ impl CacheHierarchy {
         mem: &mut dyn MemoryPort,
     ) -> FlushResult {
         let _ = core; // the flush path is identical regardless of issuer
-        self.version += 1;
         self.note(mem, block);
         self.counters.flushes.inc();
         let t = now + self.l1_lat + self.noc + self.l2_lat;

@@ -214,10 +214,10 @@ impl PersistBuffer<BlockTable> {
 
     /// Removes `block`'s resident entry for migration to another core's
     /// bbPB (paper Fig. 6(a)/(b): the block moves — without draining —
-    /// and the new core becomes responsible for it).
+    /// and the new core becomes responsible for it). The receiving
+    /// buffer's [`Bbpb::insert_moved`] reports the block's change.
     pub fn take_for_move(&mut self, block: BlockAddr) -> Option<[u8; BLOCK_BYTES]> {
         let data = self.table.remove(block)?;
-        self.note_removed();
         self.table.moves_out.inc();
         Some(data)
     }

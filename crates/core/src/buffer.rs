@@ -7,7 +7,7 @@
 //! levels derived from [`BbpbConfig`], the in-flight drains that hold their
 //! slot until the WPQ accepts the write, the admission rule (coalesce, or
 //! allocate and stall while full), watermark draining, the drain trace,
-//! crash discard, the mutation version and the shared counters.
+//! crash discard, the change notes and the shared counters.
 
 use bbb_sim::{BbpbConfig, BlockAddr, Counter, Cycle, MemoryPort, Stats, TraceEvent, TraceLog};
 
@@ -84,13 +84,10 @@ pub struct PersistBuffer<T> {
     pub(crate) core_id: usize,
     /// Drain-event recorder for the persist-order checker.
     pub(crate) trace: TraceLog,
-    /// Monotone mutation counter: bumped whenever the resident entries —
-    /// the crash drain set — change, so an unchanged version proves an
-    /// unchanged drain set. In-flight bookkeeping does not bump it.
-    version: u64,
-    /// Whether entry changes are reported to the memory port
-    /// ([`MemoryPort::note_change`]); off for a volatile buffer, whose
-    /// entries no crash keeps.
+    /// Whether changes to the resident entries — the crash drain set —
+    /// are reported to the memory port ([`MemoryPort::note_change`]);
+    /// off for a volatile buffer, whose entries no crash keeps. A drain
+    /// reports itself: its NVMM write is a media change.
     pub(crate) change_notes: bool,
 }
 
@@ -112,16 +109,8 @@ impl<T: EntryTable> PersistBuffer<T> {
             drains: Counter::new(),
             core_id: 0,
             trace: TraceLog::default(),
-            version: 0,
             change_notes: true,
         }
-    }
-
-    /// Monotone mutation counter over the resident entries: equal versions
-    /// within one buffer's lifetime prove identical contents.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Resident entries — the size of the crash drain set.
@@ -179,9 +168,6 @@ impl<T: EntryTable> PersistBuffer<T> {
     /// NVMM. Returns the entries dropped.
     pub fn crash_discard(&mut self) -> u64 {
         let lost = self.table.resident() as u64;
-        if lost > 0 {
-            self.version += 1;
-        }
         self.table.clear();
         self.in_flight.clear();
         lost
@@ -254,7 +240,6 @@ impl<T: EntryTable> PersistBuffer<T> {
         if !self.table.coalesce(entry) {
             return false;
         }
-        self.version += 1;
         self.coalesces.inc();
         true
     }
@@ -262,12 +247,6 @@ impl<T: EntryTable> PersistBuffer<T> {
     /// Installs a fresh resident entry (the caller made room).
     pub(crate) fn install(&mut self, entry: T::Entry) {
         self.table.insert(entry);
-        self.version += 1;
-    }
-
-    /// Records that a resident entry left the buffer without a drain.
-    pub(crate) fn note_removed(&mut self) {
-        self.version += 1;
     }
 
     /// Reports `block`'s entry to `mem` as changed, when notes are on.
@@ -310,7 +289,6 @@ impl<T: EntryTable> PersistBuffer<T> {
         forced: bool,
         mem: &mut dyn MemoryPort,
     ) {
-        self.version += 1;
         self.record_drain(now, T::block(entry), forced);
         let persist = T::write(entry, now, mem);
         self.in_flight.push(persist.max(now + self.drain_latency));

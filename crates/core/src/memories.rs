@@ -101,7 +101,7 @@ impl MemoryPort for Memories {
     /// block is in no crash image.
     fn note_change(&mut self, block: BlockAddr) {
         if self.map.is_nvmm(block.base()) {
-            self.nvmm.changes_mut().note(block);
+            self.nvmm.note_change(block);
         }
     }
 }

@@ -293,17 +293,6 @@ impl PersistState {
         mem + proc
     }
 
-    /// Sum of every owned persist buffer's monotone mutation counter.
-    /// Buffers only exist for the buffered modes, so this covers whichever
-    /// organization is active; both counters are monotone, so an unchanged
-    /// sum proves every buffer individually unchanged.
-    #[must_use]
-    pub fn buffers_version(&self) -> u64 {
-        let mem = self.bbpbs.iter().map(Bbpb::version);
-        mem.chain(self.procpbs.iter().map(ProcSidePb::version))
-            .sum()
-    }
-
     /// Resident entries across all bbPBs (crash-cost accounting).
     #[must_use]
     pub fn total_resident_entries(&self) -> u64 {

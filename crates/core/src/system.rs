@@ -415,8 +415,10 @@ impl System {
             audit_countdown: 0,
             sb_notes: false,
         };
-        // Structures outside the persistence domain need not report
-        // their changes to the change log.
+        // Structures outside the persistence domain report no changes
+        // (nor do BEP's volatile buffers, see `PersistState::new`), so the
+        // change log's domain count, which `crash_image_epoch` adds with
+        // the battery healthy, moves only with what a healthy crash keeps.
         let dirty_lines = sys.persist_domain(true).any(|s| s == Survivor::DirtyLines);
         sys.hierarchy.set_change_notes(dirty_lines);
         sys.sb_notes = sys
@@ -910,9 +912,10 @@ impl System {
     /// emptied — drained or lost, nothing stays behind.
     fn crash(&mut self, battery_ok: bool) -> NvmImage {
         let now = self.now_max;
+        // Every buffer empties below: the crash note overflows the change
+        // log, so no image built before is a basis and the healthy epoch
+        // moves.
         self.memories.nvmm_mut().note_crash(now, battery_ok);
-        // Every buffer empties below: no image built before is a basis.
-        self.memories.nvmm_mut().changes_mut().overflow();
         let mut writes = Vec::new();
         self.surviving_writes(battery_ok, None, |from, w| writes.push((from, w)));
         for (from, w) in writes {
@@ -967,7 +970,7 @@ impl System {
     #[must_use]
     pub fn crash_image_on(&self, battery_ok: bool, basis: &mut ImageBasis) -> NvmImage {
         let nvmm = self.memories.nvmm();
-        let mut build = basis.start(nvmm.changes(), nvmm.media_snapshot());
+        let mut build = basis.start(nvmm.changes(), nvmm.media_snapshot(), battery_ok);
         let (only, writes) = build.parts();
         self.surviving_writes(battery_ok, only, |_, w| match w {
             Write::Block(block, data) => writes.write(block.base(), &data),
@@ -984,24 +987,18 @@ impl System {
     /// are byte-identical, so a crash-point sweep can reuse the previous
     /// point's recovery verdict without snapshotting again.
     ///
-    /// Soundness: each summand is a monotone mutation counter of media or
-    /// of one structure in the persistence domain, so an unchanged
-    /// *sum* implies every summand — hence every structure the image
-    /// derives from — is unchanged. The converse does not hold (a counter
-    /// can bump without changing image bytes); a changed epoch only costs
-    /// a fresh snapshot.
+    /// The epoch is the change log's count of media notes, plus its count
+    /// of persistence-domain notes when `battery_ok` ([`ChangeLog::notes`]).
+    /// Every change the image can see is noted — the structures outside
+    /// the domain are the ones [`System::new`] keeps from noting — and
+    /// both counts only grow, so an unchanged epoch proves the image
+    /// unchanged. The converse does not hold (a note need not change a
+    /// byte); a changed epoch only costs a fresh snapshot.
+    ///
+    /// [`ChangeLog::notes`]: bbb_mem::ChangeLog::notes
     #[must_use]
     pub fn crash_image_epoch(&self, battery_ok: bool) -> u64 {
-        let media = self.memories.nvmm().media_version();
-        let domain: u64 = self
-            .persist_domain(battery_ok)
-            .map(|from| match from {
-                Survivor::DirtyLines => self.hierarchy.version(),
-                Survivor::Bbpbs | Survivor::ProcPbs => self.persist.buffers_version(),
-                Survivor::StoreBuffers => self.cores.iter().map(|c| c.sb.version()).sum(),
-            })
-            .sum();
-        media + domain
+        self.memories.nvmm().changes().notes(battery_ok)
     }
 
     /// The persistence domain: the structures whose contents survive a
@@ -1111,7 +1108,8 @@ impl System {
 
     /// The `kind` signal [`System::run_probed`] samples between ops. Each
     /// summand is a monotone counter, so the sum changes exactly when one
-    /// of them moves (the argument [`System::crash_image_epoch`] makes).
+    /// of them moves, as the two counts of [`System::crash_image_epoch`]
+    /// do.
     fn probe_signal(&self, kind: ProbeKind) -> u64 {
         match kind {
             ProbeKind::Ordering => {
@@ -2177,7 +2175,10 @@ mod tests {
             for i in 0..ChangeLog::CAPACITY as u64 {
                 s.step_op(0, &Op::store_u64(a + 64 * (i % 512), i));
             }
-            assert!(s.memories.nvmm().changes().since(mark).is_none(), "{mode}");
+            assert!(
+                s.memories.nvmm().changes().since(mark, true).is_none(),
+                "{mode}"
+            );
             let second = s.crash_image_on(true, &mut basis);
             assert!(second == s.crash_image(true), "{mode}");
             assert_eq!(second.changes_since(first.id()), None, "{mode}");
@@ -2192,6 +2193,95 @@ mod tests {
             assert!(fourth == destroyed, "{mode}");
             assert_eq!(fourth.changes_since(third.id()), None, "{mode}");
         }
+    }
+
+    /// Both epochs of a machine, healthy first.
+    fn epochs(s: &System) -> [u64; 2] {
+        [s.crash_image_epoch(true), s.crash_image_epoch(false)]
+    }
+
+    /// A DRAM block is in no crash image, so a store to one moves neither
+    /// epoch: not through eADR's caches, nor through a battery-backed SB.
+    #[test]
+    fn dram_stores_leave_the_epochs_alone() {
+        for mode in [PersistencyMode::Eadr, PersistencyMode::BbbMemorySide] {
+            let mut s = sys(mode);
+            assert!(s.cfg.battery_backed_sb);
+            let before = epochs(&s);
+            s.run_single_core(0, vec![Op::store_u64(0x100, 42), Op::Fence])
+                .unwrap();
+            let block = BlockAddr::containing(0x100);
+            assert!(s.hierarchy.l1(0).state_of(block).writable(), "{mode}");
+            assert_eq!(epochs(&s), before, "{mode}");
+        }
+    }
+
+    /// A clone starts at its original's epochs, and each machine's epochs
+    /// move only with its own steps.
+    #[test]
+    fn a_clone_keeps_its_epochs_and_moves_them_alone() {
+        for mode in [
+            PersistencyMode::Eadr,
+            PersistencyMode::BbbMemorySide,
+            PersistencyMode::BbbProcessorSide,
+        ] {
+            let mut s = sys(mode);
+            let a = pbase(&s);
+            s.run_single_core(0, vec![Op::store_u64(a, 1)]).unwrap();
+            let mut c = s.clone();
+            let forked = epochs(&s);
+            assert_eq!(epochs(&c), forked, "{mode}");
+
+            c.run_single_core(0, vec![Op::store_u64(a + 64, 2)])
+                .unwrap();
+            let stepped = epochs(&c);
+            assert_ne!(stepped[0], forked[0], "{mode}");
+            assert_eq!(epochs(&s), forked, "{mode}");
+
+            s.run_single_core(1, vec![Op::store_u64(a + 128, 3)])
+                .unwrap();
+            assert_ne!(epochs(&s)[0], forked[0], "{mode}");
+            assert_eq!(epochs(&c), stepped, "{mode}");
+        }
+    }
+
+    /// A destructive crash empties the persistence domain, so it moves
+    /// the healthy epoch even when it writes nothing to media.
+    #[test]
+    fn crash_now_moves_the_healthy_epoch() {
+        for mode in PersistencyMode::ALL {
+            let mut s = sys(mode);
+            let a = pbase(&s);
+            s.run_single_core(0, vec![Op::store_u64(a, 1)]).unwrap();
+            let before = s.crash_image_epoch(true);
+            let _ = s.crash_now();
+            assert_ne!(s.crash_image_epoch(true), before, "{mode}");
+
+            let empty = s.crash_image_epoch(true);
+            let _ = s.crash_now();
+            assert_ne!(s.crash_image_epoch(true), empty, "{mode}: empty domain");
+        }
+    }
+
+    /// A battery-dropped image is media alone, so after a step that only
+    /// coalesces a store into a bbPB entry it rebuilds no block.
+    #[test]
+    fn a_dropped_image_reads_only_media_notes() {
+        let mut s = sys(PersistencyMode::BbbMemorySide);
+        let a = pbase(&s);
+        s.run_single_core(0, vec![Op::store_u64(a, 1), Op::Fence])
+            .unwrap();
+        let mut basis = ImageBasis::default();
+        let first = s.crash_image_on(false, &mut basis);
+        let (coalesces, media) = (s.stats().get("bbpb.coalesces"), epochs(&s)[1]);
+
+        s.run_single_core(0, vec![Op::store_u64(a + 8, 2), Op::Fence])
+            .unwrap();
+        assert_eq!(s.stats().get("bbpb.coalesces"), coalesces + 1);
+        assert_eq!(epochs(&s)[1], media, "no media note");
+        let second = s.crash_image_on(false, &mut basis);
+        assert!(second == s.crash_image(false));
+        assert_eq!(second.changes_since(first.id()), Some(&[][..]));
     }
 
     /// A bbPB filled to capacity (a 100 % drain threshold keeps every

@@ -113,10 +113,6 @@ where
 pub struct StoreBuffer {
     entries: VecDeque<SbEntry>,
     capacity: usize,
-    /// Monotone mutation counter: bumped whenever `entries` changes. Lets a
-    /// crash-image memoizer prove "no buffered store changed between two
-    /// probe points" without comparing contents.
-    version: u64,
 }
 
 impl StoreBuffer {
@@ -131,15 +127,7 @@ impl StoreBuffer {
         Self {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            version: 0,
         }
-    }
-
-    /// Monotone mutation counter: unchanged version within one buffer's
-    /// lifetime proves unchanged contents (the converse need not hold).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Capacity in entries.
@@ -183,7 +171,6 @@ impl StoreBuffer {
                 .is_none_or(|last| last.tau() < entry.tau()),
             "stores enter the buffer in τ order"
         );
-        self.version += 1;
         self.entries.push_back(entry);
         Ok(())
     }
@@ -196,21 +183,13 @@ impl StoreBuffer {
 
     /// Removes and returns the oldest entry.
     pub fn pop_front(&mut self) -> Option<SbEntry> {
-        let popped = self.entries.pop_front();
-        if popped.is_some() {
-            self.version += 1;
-        }
-        popped
+        self.entries.pop_front()
     }
 
     /// Removes and returns the entry at `index` (relaxed-consistency drain:
     /// any ready entry may go to the L1D out of order).
     pub fn pop_at(&mut self, index: usize) -> Option<SbEntry> {
-        let popped = self.entries.remove(index);
-        if popped.is_some() {
-            self.version += 1;
-        }
-        popped
+        self.entries.remove(index)
     }
 
     /// Iterates entries oldest-first (crash draining of a battery-backed
@@ -221,9 +200,6 @@ impl StoreBuffer {
 
     /// Drains all entries oldest-first (crash flush-on-fail).
     pub fn drain_all(&mut self) -> Vec<SbEntry> {
-        if !self.entries.is_empty() {
-            self.version += 1;
-        }
         self.entries.drain(..).collect()
     }
 

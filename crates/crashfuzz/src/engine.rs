@@ -1,14 +1,21 @@
 //! The crash-sweep engine: the one loop that crashes an execution point
 //! by point. A [`CrashSweep`] owns a machine, its op feed and its run
 //! cursor; a caller advances it to each crash [`Point`] and asks for the
-//! non-destructive [`System::crash_image`] there, per battery state. An
-//! unchanged [`System::crash_image_epoch`] proves the image identical to
-//! the last one, so the engine returns `None` and the caller reuses its
-//! last conclusion. A fresh image is built on the last one of the same
-//! battery state ([`System::crash_image_on`]): only the blocks the
-//! machine's change log recorded since are rebuilt, every other page is
-//! the last image's, and the image names the blocks it rebuilt, so a
-//! recovery oracle that checked the last image compares only those.
+//! non-destructive [`System::crash_image`] there, per battery state.
+//!
+//! One record, the machine's change log, decides both what is reused and
+//! what is rebuilt. Every change a crash image can see — to media, and
+//! to the persistence domain above it — is noted there. The log counts
+//! its notes always, even before any reader marks it, so no note can be
+//! skipped: an unchanged count ([`System::crash_image_epoch`]: media's
+//! notes, plus the domain's with the battery healthy) proves the image
+//! identical to the last one, and the engine returns `None` for the
+//! caller to reuse its last conclusion. A fresh image is built on the
+//! last one of the same battery state ([`System::crash_image_on`]): only
+//! the blocks noted since are rebuilt (media's alone for a
+//! battery-dropped image), every other page is the last image's, and the
+//! image names the blocks it rebuilt, so a recovery oracle that checked
+//! the last image compares only those.
 
 use bbb_core::{
     ImageBasis, NvmImage, Op, PersistencyMode, ProbeKind, RunCursor, StopAt, System, Workload,
@@ -77,8 +84,9 @@ pub struct SweepPerf {
     /// Bytes of media never copied thanks to COW snapshots
     /// (`pages_shared * PAGE_BYTES`).
     pub clone_bytes_avoided: u64,
-    /// Crash points whose image provably matched the previous point's
-    /// ([`System::crash_image_epoch`] unchanged), so the snapshot and
+    /// Crash points whose image provably matched the previous point's —
+    /// the change log took no note the image depends on
+    /// ([`System::crash_image_epoch`] unchanged) — so the snapshot and
     /// recovery check were skipped and the prior verdict reused.
     pub snapshots_reused: u64,
     /// Simulated cycles executed by the forward crash pass(es).

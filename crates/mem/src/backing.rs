@@ -53,12 +53,6 @@ pub struct ByteStore {
     /// Pages deep-copied because a write hit a page still shared with a
     /// snapshot. Clones inherit their ancestor's count at fork time.
     cow_page_copies: u64,
-    /// Monotone mutation counter: bumped on every write call. Two equal
-    /// versions of the *same* store lineage guarantee the contents did
-    /// not change in between — the cheap "has anything happened" check
-    /// the crash-point sweep's image memoization relies on. Like the COW
-    /// counter, it is bookkeeping, not observable contents.
-    version: u64,
 }
 
 impl PartialEq for ByteStore {
@@ -101,14 +95,6 @@ impl ByteStore {
         self.cow_page_copies
     }
 
-    /// Monotone mutation counter: increments on every write. Within one
-    /// store lineage, an unchanged version proves unchanged contents
-    /// (the converse does not hold — rewriting identical bytes bumps it).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Reads `buf.len()` bytes starting at `addr`.
     #[inline]
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
@@ -148,7 +134,6 @@ impl ByteStore {
     /// zero fill or a stale copy — the page is built straight from the
     /// source bytes.
     pub fn write(&mut self, addr: Addr, data: &[u8]) {
-        self.version += 1;
         let mut pos = 0;
         while pos < data.len() {
             let a = addr + pos as u64;
@@ -227,10 +212,8 @@ impl ByteStore {
 
     /// The page holding `addr`, for writing in place: an absent page is
     /// materialized zeroed, and a page shared with another store is copied
-    /// first, counted in [`Self::cow_page_copies`]. One write for
-    /// [`Self::version`], however many bytes the caller changes.
+    /// first, counted in [`Self::cow_page_copies`].
     pub fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES] {
-        self.version += 1;
         let slot = self
             .pages
             .entry(addr >> PAGE_SHIFT)
@@ -244,7 +227,6 @@ impl ByteStore {
     /// Puts `page` at the page holding `addr`, as it is: the crash
     /// imager's way to lay a built page into a media snapshot.
     pub(crate) fn set_page(&mut self, addr: Addr, page: Arc<Page>) {
-        self.version += 1;
         self.pages.insert(addr >> PAGE_SHIFT, page);
     }
 
@@ -254,14 +236,13 @@ impl ByteStore {
     }
 
     /// Makes the page holding `addr` share `src`'s page, copied when either
-    /// store next writes it; one write for [`Self::version`].
+    /// store next writes it.
     ///
     /// # Panics
     ///
     /// If `src` has no page materialized at `addr`.
     pub fn share_page(&mut self, src: &ByteStore, addr: Addr) {
         let page = src.page_for(addr).expect("materialized source page");
-        self.version += 1;
         self.pages.insert(addr >> PAGE_SHIFT, Arc::clone(page));
     }
 
@@ -456,9 +437,7 @@ mod tests {
         arch.write_u64(0x5008, 1);
         let mut media = ByteStore::new();
         media.write_u64(0x5010, 9); // replaced wholesale by the share
-        let before = media.version();
         media.share_page(&arch, 0x5000);
-        assert_eq!(media.version(), before + 1);
         assert_eq!(media, arch);
         assert_eq!((arch.shared_pages(), media.shared_pages()), (1, 1));
 
@@ -484,15 +463,12 @@ mod tests {
         let page = m.page_mut(0x3008);
         assert!(page.iter().all(|&b| b == 0));
         page[8] = 0xAA;
-        assert_eq!(
-            (m.resident_pages(), m.cow_page_copies(), m.version()),
-            (1, 0, 1)
-        );
+        assert_eq!((m.resident_pages(), m.cow_page_copies()), (1, 0));
         assert_eq!(m.read_u64(0x3008), 0xAA);
 
-        // Unshared: written in place, no copy; one version per call.
+        // Unshared: written in place, no copy.
         m.page_mut(0x3FFF)[PAGE_BYTES - 1] = 0xBB;
-        assert_eq!((m.cow_page_copies(), m.version()), (0, 2));
+        assert_eq!(m.cow_page_copies(), 0);
         let mut last = [0u8; 1];
         m.read(0x3FFF, &mut last);
         assert_eq!(last, [0xBB]);
@@ -503,9 +479,9 @@ mod tests {
         let page = m.page_mut(0x3000);
         assert_eq!(page[8], 0xAA);
         page[8] = 0xCC;
-        assert_eq!((m.cow_page_copies(), m.version()), (1, 3));
+        assert_eq!(m.cow_page_copies(), 1);
         m.page_mut(0x3000)[9] = 0xDD;
-        assert_eq!((m.cow_page_copies(), m.version()), (1, 4));
+        assert_eq!(m.cow_page_copies(), 1);
         assert_eq!(m.read_u64(0x3008), 0xDDCC);
         assert_eq!(snap.read_u64(0x3008), 0xAA);
         assert_eq!((m.shared_pages(), snap.shared_pages()), (0, 0));

@@ -1,21 +1,25 @@
-//! The bounded log of blocks whose crash image may have changed.
+//! The one record of what a crash image depends on.
 //!
 //! A crash image is NVMM media with the persistence domain's writes laid
-//! over it, so its bytes at a block can change only when media at that
-//! block changes or when a persist-domain structure — a cache line, a
-//! persist-buffer entry, a store-buffer entry — of that block changes.
-//! Every such mutation appends its block to one [`ChangeLog`] (the NVMM
-//! controller's). A crash-image builder remembers where the log stood at
-//! its last image ([`ChangeLog::mark`]) and at the next one rebuilds only
-//! the pages of the blocks logged since ([`ChangeLog::since`]).
+//! over it, so its bytes at a block change only when media or a
+//! persist-domain structure (a cache line, a persist-buffer or
+//! store-buffer entry) of that block changes. Every such mutation notes
+//! its block and its [`Change`] kind in one [`ChangeLog`], the NVMM
+//! controller's.
+//!
+//! The log counts every note of each kind, always ([`ChangeLog::notes`]),
+//! so no note is skipped while nobody reads: media's count alone
+//! fingerprints a battery-dropped crash image, media's plus the domain's
+//! a healthy one. Once a reader marks the log ([`ChangeLog::mark`]), it
+//! also keeps the noted blocks, and an image builder rebuilds only the
+//! blocks noted since its last image ([`ChangeLog::since`]) — media's
+//! alone for a dropped image.
 //!
 //! Reporting a block whose bytes did not change is safe: it costs a
 //! rebuild. Missing one is a bug. The log keeps the last
 //! [`ChangeLog::CAPACITY`] blocks; a reader whose mark fell out of them,
 //! or a mark taken before [`ChangeLog::overflow`], learns only that
-//! anything may have changed. Until a reader takes its first mark the
-//! log records nothing, so a run that builds no image pays one branch
-//! per change.
+//! anything may have changed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,46 +33,61 @@ fn next_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The last [`ChangeLog::CAPACITY`] blocks whose crash bytes may have
-/// changed (see the module docs).
+/// What a [`ChangeLog`] note says changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Change {
+    /// NVMM media: the controller's own writes, loads and page shares.
+    Media,
+    /// The persistence domain above media: a cache line, persist-buffer
+    /// entry or store-buffer entry that a crash with the battery healthy
+    /// writes to media ([`MemoryPort::note_change`](bbb_sim::MemoryPort::note_change)).
+    Domain,
+}
+
+/// Every change a crash image depends on: counted always, and the last
+/// [`ChangeLog::CAPACITY`] blocks kept once a reader marks (see the
+/// module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use bbb_mem::ChangeLog;
+/// use bbb_mem::{Change, ChangeLog};
 /// use bbb_sim::BlockAddr;
 /// let mut log = ChangeLog::default();
 /// let first = log.mark();
-/// log.note(BlockAddr::from_index(1));
-/// assert_eq!(log.since(first).map(Iterator::count), Some(1));
+/// log.note(BlockAddr::from_index(1), Change::Media);
+/// assert_eq!(log.since(first, true).map(Iterator::count), Some(1));
 /// let mark = log.mark();
-/// log.note(BlockAddr::from_index(3));
-/// log.note(BlockAddr::from_index(3));
-/// let since: Vec<_> = log.since(mark).expect("in the log").collect();
+/// log.note(BlockAddr::from_index(3), Change::Domain);
+/// log.note(BlockAddr::from_index(3), Change::Domain);
+/// let since: Vec<_> = log.since(mark, true).expect("in the log").collect();
 /// assert_eq!(since, [BlockAddr::from_index(3)]);
+/// // A reader of media alone skips the domain's notes; every note counts.
+/// assert_eq!(log.since(mark, false).map(Iterator::count), Some(0));
+/// assert_eq!((log.notes(false), log.notes(true)), (1, 3));
 ///
 /// // A mark between two notes of one block keeps both.
 /// let again = log.mark();
-/// log.note(BlockAddr::from_index(3));
-/// assert_eq!(log.since(again).map(Iterator::count), Some(1));
+/// log.note(BlockAddr::from_index(3), Change::Media);
+/// assert_eq!(log.since(again, false).map(Iterator::count), Some(1));
 ///
 /// for i in 0..ChangeLog::CAPACITY as u64 {
-///     log.note(BlockAddr::from_index(2 * i));
+///     log.note(BlockAddr::from_index(2 * i), Change::Media);
 /// }
-/// assert!(log.since(mark).is_none(), "fell out of the log");
+/// assert!(log.since(mark, true).is_none(), "fell out of the log");
 /// let mark = log.mark();
 /// log.overflow();
-/// assert!(log.since(mark).is_none());
-/// assert!(log.since(log.mark()).is_some());
+/// assert!(log.since(mark, true).is_none());
+/// assert!(log.since(log.mark(), true).is_some());
 /// ```
 #[derive(Debug)]
 pub struct ChangeLog {
     /// Given at the first mark; 0 before.
     id: AtomicU64,
-    /// The readable blocks, position `p` at `ring[p % CAPACITY]`; grown
+    /// The readable records, position `p` at `ring[p % CAPACITY]`; grown
     /// on demand up to the capacity.
-    ring: Vec<BlockAddr>,
-    /// Blocks recorded so far.
+    ring: Vec<(BlockAddr, Change)>,
+    /// Records kept so far.
     total: u64,
     /// The oldest readable position.
     start: u64,
@@ -76,6 +95,11 @@ pub struct ChangeLog {
     /// repeat of the block just recorded is dropped only when no mark
     /// lies between the two.
     marked: AtomicU64,
+    /// Notes of media changes over the machine's life, a clone's
+    /// original's included.
+    media_notes: u64,
+    /// Notes of domain changes, likewise.
+    domain_notes: u64,
 }
 
 /// [`ChangeLog::marked`] of a log no reader has marked: nothing it would
@@ -98,15 +122,22 @@ impl Default for ChangeLog {
             total: 0,
             start: 0,
             marked: AtomicU64::new(UNREAD),
+            media_notes: 0,
+            domain_notes: 0,
         }
     }
 }
 
 impl Clone for ChangeLog {
     /// A clone is another log: the two record different futures, so a
-    /// mark of one reads nothing of the other.
+    /// mark of one reads nothing of the other. The counts carry over: a
+    /// clone starts at its original's [`ChangeLog::notes`].
     fn clone(&self) -> Self {
-        Self::default()
+        Self {
+            media_notes: self.media_notes,
+            domain_notes: self.domain_notes,
+            ..Self::default()
+        }
     }
 }
 
@@ -114,50 +145,75 @@ impl ChangeLog {
     /// Blocks the log keeps.
     pub const CAPACITY: usize = 4096;
 
-    /// Records that `block`'s crash bytes may have changed. A repeat of
-    /// the block just recorded is dropped, unless a mark was taken in
-    /// between; so is everything before the first mark.
+    /// Notes that `block`'s crash bytes may have changed, in media or in
+    /// the domain. The note is counted, and its block recorded for the
+    /// readers; a repeat of the block just recorded with no mark in
+    /// between adds no record (a media note makes that record media's).
     #[inline]
-    pub fn note(&mut self, block: BlockAddr) {
-        let marked = *self.marked.get_mut();
-        if marked == UNREAD {
-            return;
+    pub fn note(&mut self, block: BlockAddr, change: Change) {
+        match change {
+            Change::Media => self.media_notes += 1,
+            Change::Domain => self.domain_notes += 1,
         }
-        let cap = Self::CAPACITY as u64;
-        let repeat = self.total > marked
-            && self.total > self.start
-            && self.ring[((self.total - 1) % cap) as usize] == block;
-        if repeat {
-            return;
-        }
-        let at = (self.total % cap) as usize;
-        if at < self.ring.len() {
-            self.ring[at] = block;
-        } else {
-            // Most readers' windows are short: grow from a modest start.
-            self.ring.reserve(256);
-            self.ring.resize(at + 1, block);
-        }
-        self.total += 1;
-        self.start = self.start.max(self.total.saturating_sub(cap));
+        self.record(block, change);
     }
 
-    /// Records every block of the page holding `addr`.
+    /// Notes a media change of every block of the page holding `addr`.
     pub fn note_page(&mut self, addr: Addr) {
+        self.media_notes += 1;
         if *self.marked.get_mut() == UNREAD {
             return;
         }
         let first = BlockAddr::containing(addr & !(PAGE_BYTES as Addr - 1));
         for i in 0..(PAGE_BYTES / BLOCK_BYTES) as u64 {
-            self.note(BlockAddr::from_index(first.index() + i));
+            self.record(BlockAddr::from_index(first.index() + i), Change::Media);
         }
     }
 
-    /// Records that anything may have changed: no mark taken before reads
-    /// the log.
+    /// Records `block` for the readers (see [`ChangeLog::note`]); nothing
+    /// before the first mark.
+    #[inline]
+    fn record(&mut self, block: BlockAddr, change: Change) {
+        let marked = *self.marked.get_mut();
+        if marked == UNREAD {
+            return;
+        }
+        let cap = Self::CAPACITY as u64;
+        if self.total > marked && self.total > self.start {
+            let last = &mut self.ring[((self.total - 1) % cap) as usize];
+            if last.0 == block {
+                if change == Change::Media {
+                    last.1 = Change::Media;
+                }
+                return;
+            }
+        }
+        let at = (self.total % cap) as usize;
+        if at < self.ring.len() {
+            self.ring[at] = (block, change);
+        } else {
+            // Most readers' windows are short: grow from a modest start.
+            self.ring.reserve(256);
+            self.ring.resize(at + 1, (block, change));
+        }
+        self.total += 1;
+        self.start = self.start.max(self.total.saturating_sub(cap));
+    }
+
+    /// Notes that anything in the domain may have changed — a destructive
+    /// crash emptied it: no mark taken before reads the log.
     pub fn overflow(&mut self) {
+        self.domain_notes += 1;
         self.total += 1;
         self.start = self.total;
+    }
+
+    /// The notes taken so far: media's, plus the domain's when `domain`.
+    /// The counts only grow, so an unchanged count proves that nothing
+    /// it counts was noted in between.
+    #[must_use]
+    pub fn notes(&self, domain: bool) -> u64 {
+        self.media_notes + if domain { self.domain_notes } else { 0 }
     }
 
     /// Where the log stands now.
@@ -175,15 +231,25 @@ impl ChangeLog {
         }
     }
 
-    /// The blocks recorded after `mark`, oldest first and possibly
-    /// repeated; `None` when `mark` is another log's or no longer readable.
+    /// The blocks recorded after `mark` — media's, and the domain's when
+    /// `domain` — oldest first and possibly repeated; `None` when `mark`
+    /// is another log's or no longer readable.
     #[must_use]
-    pub fn since(&self, mark: LogMark) -> Option<impl Iterator<Item = BlockAddr> + '_> {
+    pub fn since(
+        &self,
+        mark: LogMark,
+        domain: bool,
+    ) -> Option<impl Iterator<Item = BlockAddr> + '_> {
         let readable = mark.log == self.id.load(Ordering::Relaxed)
             && mark.at >= self.start
             && mark.at <= self.total;
         let cap = Self::CAPACITY as u64;
-        readable.then(|| (mark.at..self.total).map(move |p| self.ring[(p % cap) as usize]))
+        readable.then(|| {
+            (mark.at..self.total)
+                .map(move |p| self.ring[(p % cap) as usize])
+                .filter(move |&(_, change)| domain || change == Change::Media)
+                .map(|(block, _)| block)
+        })
     }
 }
 
@@ -196,7 +262,7 @@ mod tests {
         let mut log = ChangeLog::default();
         let mark = log.mark();
         log.note_page(0x1FFF);
-        let blocks: Vec<_> = log.since(mark).expect("bounded").collect();
+        let blocks: Vec<_> = log.since(mark, false).expect("bounded").collect();
         assert_eq!(blocks.len(), 64);
         assert_eq!(blocks[0], BlockAddr::containing(0x1000));
         assert_eq!(blocks[63], BlockAddr::containing(0x1FC0));
@@ -204,17 +270,45 @@ mod tests {
         // Past the capacity the ring wraps: a recent mark still reads
         // exactly what came after it.
         for i in 0..3 * ChangeLog::CAPACITY as u64 {
-            log.note(BlockAddr::from_index(i));
+            log.note(BlockAddr::from_index(i), Change::Domain);
         }
         let mark = log.mark();
-        log.note(BlockAddr::from_index(7));
-        log.note(BlockAddr::from_index(9));
-        let since: Vec<_> = log.since(mark).expect("recent").collect();
+        log.note(BlockAddr::from_index(7), Change::Domain);
+        log.note(BlockAddr::from_index(9), Change::Media);
+        let since: Vec<_> = log.since(mark, true).expect("recent").collect();
         assert_eq!(since, [BlockAddr::from_index(7), BlockAddr::from_index(9)]);
 
-        // A clone is another log.
+        // A clone is another log, at its original's counts.
         let other = log.clone();
-        assert!(other.since(mark).is_none());
-        assert!(other.since(other.mark()).is_some());
+        assert!(other.since(mark, true).is_none());
+        assert!(other.since(other.mark(), true).is_some());
+        assert_eq!(other.notes(false), log.notes(false));
+        assert_eq!(other.notes(true), log.notes(true));
+    }
+
+    #[test]
+    fn every_note_counts_and_a_media_repeat_reaches_every_reader() {
+        let mut log = ChangeLog::default();
+        // Unread: no block is kept, but every note counts.
+        log.note(BlockAddr::from_index(1), Change::Media);
+        log.note(BlockAddr::from_index(1), Change::Domain);
+        log.note_page(0x1000);
+        assert_eq!((log.notes(false), log.notes(true)), (2, 3));
+        let mark = log.mark();
+        assert_eq!(log.since(mark, true).map(Iterator::count), Some(0));
+
+        // A domain note repeated by a media one keeps one record, which
+        // a reader of media alone reads too.
+        log.note(BlockAddr::from_index(5), Change::Domain);
+        log.note(BlockAddr::from_index(5), Change::Media);
+        log.note(BlockAddr::from_index(5), Change::Domain);
+        let media: Vec<_> = log.since(mark, false).expect("in the log").collect();
+        assert_eq!(media, [BlockAddr::from_index(5)]);
+        assert_eq!(log.since(mark, true).map(Iterator::count), Some(1));
+
+        // A destructive crash moves the domain's count alone.
+        let (media, all) = (log.notes(false), log.notes(true));
+        log.overflow();
+        assert_eq!((log.notes(false), log.notes(true)), (media, all + 1));
     }
 }

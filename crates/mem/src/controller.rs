@@ -11,7 +11,7 @@ use bbb_sim::{
 };
 
 use crate::backing::ByteStore;
-use crate::changes::ChangeLog;
+use crate::changes::{Change, ChangeLog};
 use crate::endurance::EnduranceTracker;
 use crate::image::NvmImage;
 use crate::sched::ChannelScheduler;
@@ -131,8 +131,8 @@ pub struct NvmmController {
     reads: Counter,
     wpq_read_hits: Counter,
     trace: TraceLog,
-    /// The blocks whose crash image may have changed: every media write
-    /// here, and every persist-domain change reported through
+    /// What the crash image depends on: every media write here, and
+    /// every persist-domain change reported through
     /// [`MemoryPort::note_change`](bbb_sim::MemoryPort::note_change).
     changes: ChangeLog,
 }
@@ -156,17 +156,10 @@ impl NvmmController {
         }
     }
 
-    /// The blocks whose crash image may have changed (see [`ChangeLog`]).
+    /// The changes the crash image depends on (see [`ChangeLog`]).
     #[must_use]
     pub fn changes(&self) -> &ChangeLog {
         &self.changes
-    }
-
-    /// Mutable access to the change log, for the persist-domain
-    /// structures the controller does not see (store buffers) and for a
-    /// destructive crash, which records its overflow.
-    pub fn changes_mut(&mut self) -> &mut ChangeLog {
-        &mut self.changes
     }
 
     /// Enables or disables [`TraceEvent::NvmmWrite`] recording.
@@ -184,11 +177,14 @@ impl NvmmController {
     /// even when their persist cycles tie with the crash cycle (the
     /// cross-log merge is only cycle-granular; the checker relies on
     /// crash-drain writes, and only those, following the crash marker).
+    /// The crash empties every buffer above the controller, so the change
+    /// log records its overflow ([`ChangeLog::overflow`]).
     pub fn note_crash(&mut self, now: Cycle, battery_ok: bool) {
         self.trace.push(TraceEvent::Crash {
             cycle: now,
             battery_ok,
         });
+        self.changes.overflow();
     }
 
     /// Reads a block; returns `(completion_cycle, data)`. Reads that hit a
@@ -221,7 +217,7 @@ impl NvmmController {
         // inside the persistence domain, so for crash purposes queued data
         // and media data are equivalent.
         self.media.write_block(block, &data);
-        self.changes.note(block);
+        self.changes.note(block, Change::Media);
         if !accept.coalesced {
             self.endurance.record(block);
         }
@@ -234,7 +230,7 @@ impl NvmmController {
     /// Pre-loads media contents without consuming simulated time.
     pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
         self.media.write_block(block, data);
-        self.changes.note(block);
+        self.changes.note(block, Change::Media);
     }
 
     /// Pre-loads the page holding `addr` by sharing `src`'s. A media write
@@ -264,15 +260,6 @@ impl NvmmController {
     #[must_use]
     pub fn media_resident_pages(&self) -> usize {
         self.media.resident_pages()
-    }
-
-    /// Monotone media mutation counter (see [`ByteStore::version`]): if two
-    /// probes of the same controller observe equal versions, no media write
-    /// happened in between, so crash images taken at both points are
-    /// byte-identical as far as media (and the merged-in WPQ) goes.
-    #[must_use]
-    pub fn media_version(&self) -> u64 {
-        self.media.version()
     }
 
     /// Media pages deep-copied by copy-on-write so far (writes that hit a
@@ -461,7 +448,7 @@ impl bbb_sim::MemoryPort for NvmmController {
     }
 
     fn note_change(&mut self, block: BlockAddr) {
-        self.changes.note(block);
+        self.changes.note(block, Change::Domain);
     }
 }
 

@@ -395,7 +395,8 @@ struct Overlay {
 /// A basis remembers where the machine's [`ChangeLog`] stood at its last
 /// image. The next image is the last one with only the blocks logged
 /// since rebuilt: media's bytes there plus the domain's writes on them,
-/// in crash order. Every other page keeps the last image's page, which
+/// in crash order. An image of media alone (the battery dropped) reads
+/// only media's notes. Every other page keeps the last image's page, which
 /// media and the writes under it left as they were. A fresh basis, or
 /// one whose mark the log no longer holds, builds every page: the one
 /// overlay definition, with or without a last image.
@@ -407,14 +408,14 @@ struct Overlay {
 /// # Examples
 ///
 /// ```
-/// use bbb_mem::{ByteStore, ChangeLog, ImageBasis};
+/// use bbb_mem::{ByteStore, Change, ChangeLog, ImageBasis};
 /// use bbb_sim::BlockAddr;
 /// let mut log = ChangeLog::default();
 /// let mut media = ByteStore::new();
 /// media.write_u64(0x1000, 1);
 /// let mut basis = ImageBasis::default();
 /// let lay = |basis: &mut ImageBasis, media: &ByteStore, log: &ChangeLog, v: u64| {
-///     let mut build = basis.start(log, media.clone());
+///     let mut build = basis.start(log, media.clone(), true);
 ///     let (only, writes) = build.parts();
 ///     // Block 0 of page 0x1000 holds the write.
 ///     if only.map_or(true, |pages| pages.contains(&(0x1000, 1))) {
@@ -431,7 +432,7 @@ struct Overlay {
 /// assert_eq!(second.changes_since(first.id()), Some(&[][..]));
 ///
 /// // A logged write rebuilds its block.
-/// log.note(BlockAddr::containing(0x1008));
+/// log.note(BlockAddr::containing(0x1008), Change::Domain);
 /// let third = lay(&mut basis, &media, &log, 3);
 /// assert_eq!(third.read_u64(0x1008), 3);
 /// assert_eq!(third.changes_since(second.id()), Some(&[(0x1000, 1)][..]));
@@ -457,12 +458,13 @@ pub struct ImageBasis {
 impl ImageBasis {
     /// Starts the next image over `media`, a snapshot of the live media,
     /// with `log` the machine's change log: a build of the blocks logged
-    /// since the last image, or of every block. The pages it rebuilds
-    /// leave the basis until [`ImageBasis::finish`], so a build dropped
-    /// unfinished leaves the next one building in full.
+    /// since the last image — media's, and the persistence domain's when
+    /// `domain` lays its writes — or of every block. The pages it
+    /// rebuilds leave the basis until [`ImageBasis::finish`], so a build
+    /// dropped unfinished leaves the next one building in full.
     #[must_use]
-    pub fn start(&mut self, log: &ChangeLog, media: ByteStore) -> ImageBuild {
-        let since = self.mark.take().and_then(|mark| log.since(mark));
+    pub fn start(&mut self, log: &ChangeLog, media: ByteStore, domain: bool) -> ImageBuild {
+        let since = self.mark.take().and_then(|mark| log.since(mark, domain));
         let partial = since.is_some_and(|since| page_masks(since, &mut self.masks));
         let mut pages = std::mem::take(&mut self.spare);
         let rebuilt = partial.then(|| {

@@ -37,7 +37,7 @@ pub mod sched;
 pub mod wpq;
 
 pub use backing::{ByteStore, PAGE_BYTES};
-pub use changes::{ChangeLog, LogMark};
+pub use changes::{Change, ChangeLog, LogMark};
 pub use controller::{DramController, NvmmController, WriteOutcome};
 pub use endurance::EnduranceTracker;
 pub use image::{ImageBasis, ImageBuild, ImageId, ImageReader, NvmImage, PageWrites, PinnedPage};

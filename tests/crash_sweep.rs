@@ -263,12 +263,12 @@ fn crash_image_epoch_memo_is_sound_in_both_battery_states() {
     // The sweep reuses a crash verdict whenever `crash_image_epoch` is
     // unchanged, so every durable-state transition — media writes,
     // battery-backed store-buffer mutations, bbPB drains and cross-core
-    // procPB migrations, cache writebacks under eADR — must bump the
-    // epoch. Differential validation on real conflicting multi-core
-    // runs: pause often, and whenever the epoch equals the memoized one
-    // (tracked separately per battery state, exactly like the sweep's
-    // memo), the freshly taken image must be byte-identical to the
-    // memoized image.
+    // procPB migrations, cache writebacks under eADR — must note a change
+    // in the NVMM controller's change log, whose counts the epoch is.
+    // Differential validation on real conflicting multi-core runs: pause
+    // often, and whenever the epoch equals the memoized one (tracked
+    // separately per battery state, exactly like the sweep's memo), the
+    // freshly taken image must be byte-identical to the memoized image.
     use bbb::core::{RunCursor, StopAt, System};
     use bbb::mem::NvmImage;
     use bbb::workloads::{make_workload, suite::with_epoch_barriers};

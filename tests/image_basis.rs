@@ -5,16 +5,19 @@
 //! log recorded since. Each image it returns must equal
 //! `System::crash_image` at the same point byte for byte, and the media
 //! pages its overlay lands on (`SweepPerf::pages_copied`) must be those a
-//! full build lays writes over. Checked here at every point of the
-//! crashfuzz grids, in both battery states — on the default machine, with
-//! a relaxed store-buffer drain (which feeds processor-side buffers out of
-//! τ order) and with store buffers outside the battery domain — and op by
-//! op on a two-core machine whose cores store to one word.
+//! full build lays writes over. Where it returns `None` instead (the
+//! change log's epoch did not move), the full build must equal the last
+//! image it returned in that battery state. Checked here at every point
+//! of the crashfuzz grids, in both battery states — on the default
+//! machine, with a relaxed store-buffer drain (which feeds
+//! processor-side buffers out of τ order) and with store buffers outside
+//! the battery domain — and op by op on a two-core machine whose cores
+//! store to one word.
 //!
 //! The non-smoke grid is `#[ignore]`d; run it in release with
 //! `cargo test --release --test image_basis -- --include-ignored`.
 
-use bbb::core::{ByteStore, ImageBasis, Op, PersistencyMode, Workload};
+use bbb::core::{ByteStore, ImageBasis, NvmImage, Op, PersistencyMode, Workload};
 use bbb::crashfuzz::{
     lost_updates_observable, reference_run, CrashSweep, GridSpec, Point, SweepConfig,
     CRASHFUZZ_SEED,
@@ -41,22 +44,33 @@ fn configs(cfg: &SimConfig, params: WorkloadParams, grid: GridSpec) -> Vec<Sweep
 }
 
 /// Asserts that `engine`'s fresh images in both battery states equal the
-/// full build, and count the media pages the full build overlays; returns
-/// how many it compared.
-fn compare(engine: &mut CrashSweep, case: &str) -> usize {
+/// full build, and count the media pages the full build overlays, and
+/// that at a reused point the full build equals `last`, the last image
+/// the engine returned in that battery state; returns how many fresh
+/// images it compared.
+fn compare(engine: &mut CrashSweep, last: &mut [Option<NvmImage>; 2], case: &str) -> usize {
     let mut compared = 0;
     for battery_ok in [true, false] {
         let copied = engine.perf().pages_copied;
-        if let Some(image) = engine.crash(battery_ok) {
-            let mut full_basis = ImageBasis::default();
-            let full = engine.system().crash_image_on(battery_ok, &mut full_basis);
-            assert!(image == full, "{case}, battery {battery_ok}");
-            assert_eq!(
-                engine.perf().pages_copied - copied,
-                full_basis.overlaid(),
-                "{case}, battery {battery_ok}: pages copied"
-            );
-            compared += 1;
+        let last = &mut last[usize::from(battery_ok)];
+        let mut full_basis = ImageBasis::default();
+        match engine.crash(battery_ok) {
+            Some(image) => {
+                let full = engine.system().crash_image_on(battery_ok, &mut full_basis);
+                assert!(image == full, "{case}, battery {battery_ok}");
+                assert_eq!(
+                    engine.perf().pages_copied - copied,
+                    full_basis.overlaid(),
+                    "{case}, battery {battery_ok}: pages copied"
+                );
+                *last = Some(image);
+                compared += 1;
+            }
+            None => {
+                let full = engine.system().crash_image(battery_ok);
+                let last = last.as_ref().expect("a reused point follows an image");
+                assert!(full == *last, "{case}, battery {battery_ok}: reused");
+            }
         }
     }
     compared
@@ -81,7 +95,7 @@ fn machines() -> [(&'static str, SimConfig); 3] {
 }
 
 fn grid_differential(cfg: &SimConfig, params: WorkloadParams, grid: GridSpec) {
-    let (mut compared, mut copied) = (0, 0);
+    let (mut compared, mut copied, mut reused) = (0, 0, 0);
     for cfg in configs(cfg, params, grid) {
         let points = reference_run(&cfg).plan(&cfg.grid);
         let mut feed = make_workload(cfg.workload, &cfg.cfg, cfg.params);
@@ -89,13 +103,18 @@ fn grid_differential(cfg: &SimConfig, params: WorkloadParams, grid: GridSpec) {
             feed = with_epoch_barriers(feed);
         }
         let mut engine = CrashSweep::new(&cfg.cfg, cfg.mode, feed);
+        let mut last = [None, None];
         for stop in points.iter().map(|&p| Point::Cycle(p)).chain([Point::End]) {
             engine.advance(stop);
-            compared += compare(&mut engine, &format!("{} at {stop:?}", cfg.label()));
+            let case = format!("{} at {stop:?}", cfg.label());
+            compared += compare(&mut engine, &mut last, &case);
         }
-        copied += engine.finish().pages_copied;
+        let perf = engine.finish();
+        copied += perf.pages_copied;
+        reused += perf.snapshots_reused;
     }
     assert!(compared > 1000, "{compared} images");
+    assert!(reused > 1000, "{reused} reused points");
     assert!(copied > 0, "the overlay landed on no media page");
 }
 
@@ -177,7 +196,7 @@ fn cross_core_stores_to_one_word_image_as_in_full() {
     let a = AddressMap::new(&cfg).persistent_base();
     for mode in PersistencyMode::ALL {
         let mut engine = CrashSweep::new(&cfg, mode, Box::new(Idle));
-        let mut compared = 0;
+        let (mut compared, mut last) = (0, [None, None]);
         for i in 0..64u64 {
             let (core, word) = ((i % 2) as usize, a + 8 * (i % 3));
             let op = match i % 8 {
@@ -187,10 +206,10 @@ fn cross_core_stores_to_one_word_image_as_in_full() {
                 _ => Op::store_u64(word + 4096 * (i % 5 / 4), 0x1000 + i),
             };
             engine.advance(Point::Op(core, op));
-            compared += compare(&mut engine, &format!("{mode}, op {i}"));
+            compared += compare(&mut engine, &mut last, &format!("{mode}, op {i}"));
         }
         engine.advance(Point::End);
-        compared += compare(&mut engine, &format!("{mode}, end"));
+        compared += compare(&mut engine, &mut last, &format!("{mode}, end"));
         assert!(compared >= 10, "{mode}: {compared} images");
     }
 }
