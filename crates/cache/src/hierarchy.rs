@@ -677,6 +677,9 @@ mod tests {
             self.store.write_block(block, &data);
             now + self.write_lat
         }
+        fn rmw_block(&mut self, _: Cycle, _: BlockAddr, _: usize, _: &[u8]) -> Cycle {
+            unreachable!("the hierarchy writes whole blocks")
+        }
     }
 
     fn cfg() -> SimConfig {

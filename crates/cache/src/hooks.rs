@@ -103,6 +103,9 @@ mod tests {
         fn write_block(&mut self, now: Cycle, _: BlockAddr, _: [u8; BLOCK_BYTES]) -> Cycle {
             now + 1
         }
+        fn rmw_block(&mut self, now: Cycle, _: BlockAddr, _: usize, _: &[u8]) -> Cycle {
+            now + 1
+        }
     }
 
     #[test]

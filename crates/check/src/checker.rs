@@ -220,7 +220,7 @@ impl PersistOrderChecker {
     /// True when the battery keeps the persist buffers (and the point of
     /// persistency sits at the point of visibility).
     fn battery_mode(&self) -> bool {
-        self.mode.has_bbpb() || self.mode == PersistencyMode::Eadr
+        self.mode.battery_backed()
     }
 
     /// Marks `key` durable at `cycle` and removes it from the pending

@@ -33,7 +33,7 @@ impl Memories {
         &self.map
     }
 
-    /// Direct access to the NVMM controller (bbPB drains, crash imaging).
+    /// Direct access to the NVMM controller (crash imaging, statistics).
     #[must_use]
     pub fn nvmm(&self) -> &NvmmController {
         &self.nvmm
@@ -71,6 +71,15 @@ impl Memories {
         }
     }
 
+    /// The controller of `block`'s region.
+    fn port(&mut self, block: BlockAddr) -> &mut dyn MemoryPort {
+        if self.map.is_nvmm(block.base()) {
+            &mut self.nvmm
+        } else {
+            &mut self.dram
+        }
+    }
+
     /// Merged statistics from both controllers.
     #[must_use]
     pub fn stats(&self) -> Stats {
@@ -80,29 +89,24 @@ impl Memories {
     }
 }
 
+/// Every call goes to the controller of the block's region. DRAM keeps
+/// no change log (a DRAM block is in no crash image), so its
+/// `note_change` is the trait's no-op.
 impl MemoryPort for Memories {
     fn read_block(&mut self, now: Cycle, block: BlockAddr) -> (Cycle, [u8; BLOCK_BYTES]) {
-        if self.map.is_nvmm(block.base()) {
-            self.nvmm.read(now, block)
-        } else {
-            self.dram.read(now, block)
-        }
+        self.port(block).read_block(now, block)
     }
 
     fn write_block(&mut self, now: Cycle, block: BlockAddr, data: [u8; BLOCK_BYTES]) -> Cycle {
-        if self.map.is_nvmm(block.base()) {
-            self.nvmm.write(now, block, data).persist
-        } else {
-            self.dram.write(now, block, data)
-        }
+        self.port(block).write_block(now, block, data)
     }
 
-    /// Logs NVMM blocks in the NVMM controller's change log; a DRAM
-    /// block is in no crash image.
+    fn rmw_block(&mut self, now: Cycle, block: BlockAddr, offset: usize, bytes: &[u8]) -> Cycle {
+        self.port(block).rmw_block(now, block, offset, bytes)
+    }
+
     fn note_change(&mut self, block: BlockAddr) {
-        if self.map.is_nvmm(block.base()) {
-            self.nvmm.note_change(block);
-        }
+        self.port(block).note_change(block);
     }
 }
 
@@ -137,6 +141,28 @@ mod tests {
         let b = BlockAddr::containing(m.map().persistent_base());
         let persist = m.write_block(42, b, [9; 64]);
         assert_eq!(persist, 42, "WPQ accepts immediately when empty");
+    }
+
+    #[test]
+    fn rmw_patches_media_at_the_regions_controller() {
+        let mut m = mems();
+        let nv = BlockAddr::containing(m.map().persistent_base());
+        m.load(nv, &[0xAA; 64]);
+        m.rmw_block(0, nv, 8, &[1, 2, 3]);
+        let s = m.stats();
+        assert_eq!((s.get("nvmm.writes"), s.get("nvmm.reads")), (1, 0));
+        let patched = m.nvmm().crash_image().read_block(nv);
+        assert_eq!(
+            (&patched[7..12], patched[0]),
+            (&[0xAA, 1, 2, 3, 0xAA][..], 0xAA)
+        );
+
+        let dram = BlockAddr::from_index(1);
+        m.rmw_block(0, dram, 0, &[9]);
+        let s = m.stats();
+        assert_eq!((s.get("dram.writes"), s.get("dram.reads")), (1, 0));
+        assert_eq!(s.get("nvmm.writes"), 1, "a DRAM block stays out of NVMM");
+        assert_eq!(m.read_block(0, dram).1[0], 9);
     }
 
     #[test]

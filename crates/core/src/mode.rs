@@ -72,11 +72,11 @@ impl PersistencyMode {
         )
     }
 
-    /// True when the mode buffers persisting stores in a per-core persist
-    /// buffer at all (battery-backed or volatile).
+    /// True when a battery keeps structures above the memory controller
+    /// (BBB's persist buffers, eADR's caches) in the persistence domain.
     #[must_use]
-    pub const fn has_persist_buffer(self) -> bool {
-        self.has_bbpb() || matches!(self, PersistencyMode::Bep)
+    pub const fn battery_backed(self) -> bool {
+        self.has_bbpb() || matches!(self, PersistencyMode::Eadr)
     }
 
     /// True when the entire cache hierarchy is inside the persistence
@@ -160,6 +160,22 @@ mod tests {
     }
 
     #[test]
+    fn battery_backs_exactly_the_bbb_modes_and_eadr() {
+        let backed: Vec<_> = PersistencyMode::ALL
+            .into_iter()
+            .filter(|m| m.battery_backed())
+            .collect();
+        assert_eq!(
+            backed,
+            [
+                PersistencyMode::Eadr,
+                PersistencyMode::BbbMemorySide,
+                PersistencyMode::BbbProcessorSide,
+            ]
+        );
+    }
+
+    #[test]
     fn eadr_is_the_only_persistent_cache_mode() {
         assert!(PersistencyMode::Eadr.caches_persistent());
         assert_eq!(
@@ -177,7 +193,6 @@ mod tests {
         assert!(!bep.requires_flushes());
         assert!(bep.requires_epoch_barriers());
         assert!(!bep.has_bbpb());
-        assert!(bep.has_persist_buffer());
         assert_eq!(bep.pop_location(), "WPQ/memory");
         // Only BEP requires epoch barriers.
         assert_eq!(

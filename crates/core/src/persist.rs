@@ -59,7 +59,7 @@ impl PersistState {
         };
         for pb in &mut procpbs {
             // BEP's buffers are volatile: no crash image holds their entries.
-            pb.change_notes = mode != PersistencyMode::Bep;
+            pb.change_notes = mode.battery_backed();
         }
         Self {
             mode,

@@ -13,8 +13,8 @@
 //!   causes its own NVMM write — the source of the ~2.8× NVMM-write
 //!   overhead reported in §V-C.
 //!
-//! Drained stores are applied to the NVMM media read-modify-write at block
-//! granularity, each counting as one media write. Capacity, watermark
+//! Each drained store is read-modify-written into its block by the NVMM
+//! controller: one media write and no media read. Capacity, watermark
 //! draining and stalls are the shared `PersistBuffer` core's.
 
 use std::collections::VecDeque;
@@ -112,10 +112,9 @@ impl EntryTable for StoreFifo {
         store.block
     }
 
-    /// Read-modify-write of the target block through `mem`. The system's
-    /// routing port does not override [`MemoryPort::rmw_block`], so a
-    /// live drain pays a timed media read before its write (ROADMAP
-    /// item 5).
+    /// Read-modify-write of the target block at the controller
+    /// ([`MemoryPort::rmw_block`]): one NVMM write and no media read, the
+    /// same call a crash drain makes.
     fn write(store: &SbEntry, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
         mem.rmw_block(now, store.block, store.offset, &store.bytes[..store.len])
     }

@@ -906,10 +906,10 @@ impl System {
         self.crash(false)
     }
 
-    /// The destructive crash: every surviving write goes through the NVMM
-    /// controller (whole blocks as writes, buffered stores as
-    /// read-modify-writes), then every persist buffer and store buffer is
-    /// emptied — drained or lost, nothing stays behind.
+    /// The destructive crash: every surviving write goes through the
+    /// memory port a live drain uses (whole blocks as writes, buffered
+    /// stores as read-modify-writes), then every persist buffer and store
+    /// buffer is emptied — drained or lost, nothing stays behind.
     fn crash(&mut self, battery_ok: bool) -> NvmImage {
         let now = self.now_max;
         // Every buffer empties below: the crash note overflows the change
@@ -919,13 +919,14 @@ impl System {
         let mut writes = Vec::new();
         self.surviving_writes(battery_ok, None, |from, w| writes.push((from, w)));
         for (from, w) in writes {
-            let nvmm = self.memories.nvmm_mut();
             match w {
                 Write::Block(block, data) => {
-                    nvmm.write(now, block, data);
+                    self.memories.write_block(now, block, data);
                 }
                 Write::Store { core, store } => {
-                    nvmm.rmw_block(now, store.block, store.offset, &store.bytes[..store.len]);
+                    let bytes = &store.bytes[..store.len];
+                    self.memories
+                        .rmw_block(now, store.block, store.offset, bytes);
                     if from == Survivor::ProcPbs {
                         // The crash drains the store on its buffer's
                         // behalf: the same event and count an ordered
@@ -2316,6 +2317,44 @@ mod tests {
         );
         assert_eq!(after.get("bbpb.drains"), 0);
         assert_eq!(s.crash_cost().bbpb_entries, 0, "crash empties the bbPB");
+    }
+
+    /// One drain semantics: the same persisting stores in a bbb-proc
+    /// procPB leave the same media bytes and the same NVMM read and write
+    /// counts whether a live drain (`drain_all_timed` through `Memories`)
+    /// or the crash drain writes them.
+    #[test]
+    fn live_and_crash_drains_of_a_procpb_agree() {
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.bbpb.drain_policy = bbb_sim::DrainPolicy::Threshold { threshold_pct: 100 };
+        let stores = cfg.bbpb.entries as u64 - 1;
+        let mut s = System::new(cfg, PersistencyMode::BbbProcessorSide).unwrap();
+        let a = pbase(&s);
+        for b in 0..3 {
+            s.memories
+                .load(BlockAddr::containing(a + b * 64), &[0xA0 + b as u8; 64]);
+        }
+        let ops: Vec<Op> = (0..stores)
+            .map(|i| Op::store_u64(a + i % 3 * 64 + i % 5 * 8, i + 1))
+            .collect();
+        s.run_single_core(0, ops).unwrap();
+        s.drain_all_store_buffers();
+        assert!(s.persist.procpb(0).resident() > 1, "stores left to drain");
+        let counts = |s: &System| {
+            let stats = s.stats();
+            (stats.get("nvmm.reads"), stats.get("nvmm.writes"))
+        };
+        let (reads, _) = counts(&s);
+
+        let mut live = s.clone();
+        let now = live.now_max;
+        live.persist
+            .procpb_mut(0)
+            .drain_all_timed(now, &mut live.memories);
+        let crashed = s.crash_now();
+        assert!(live.memories.nvmm().crash_image() == crashed, "media bytes");
+        assert_eq!(counts(&live), counts(&s));
+        assert_eq!(counts(&live).0, reads, "a drain reads no media");
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl SweepConfig {
     /// must show lost updates.
     #[must_use]
     pub fn battery_oracle(&self) -> bool {
-        self.mode.has_bbpb() || matches!(self.mode, PersistencyMode::Eadr)
+        self.mode.battery_backed()
     }
 
     /// Human-readable pair label, e.g. `hashmap/bbb-mem` or

@@ -424,9 +424,7 @@ impl bbb_sim::MemoryPort for DramController {
     }
 
     fn rmw_block(&mut self, now: Cycle, block: BlockAddr, offset: usize, bytes: &[u8]) -> Cycle {
-        assert!(offset + bytes.len() <= BLOCK_BYTES, "RMW exceeds block");
-        let mut data = self.media.read_block(block);
-        data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let data = patched(&self.media, block, offset, bytes);
         DramController::write(self, now, block, data)
     }
 }
@@ -441,15 +439,22 @@ impl bbb_sim::MemoryPort for NvmmController {
     }
 
     fn rmw_block(&mut self, now: Cycle, block: BlockAddr, offset: usize, bytes: &[u8]) -> Cycle {
-        assert!(offset + bytes.len() <= BLOCK_BYTES, "RMW exceeds block");
-        let mut data = self.media.read_block(block);
-        data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let data = patched(&self.media, block, offset, bytes);
         NvmmController::write(self, now, block, data).persist
     }
 
     fn note_change(&mut self, block: BlockAddr) {
         self.changes.note(block, Change::Domain);
     }
+}
+
+/// Both controllers' read-modify-write step: `block`'s media bytes, read
+/// at no media-read cost, with `bytes` laid at `offset`.
+fn patched(media: &ByteStore, block: BlockAddr, offset: usize, bytes: &[u8]) -> [u8; BLOCK_BYTES] {
+    assert!(offset + bytes.len() <= BLOCK_BYTES, "RMW exceeds block");
+    let mut data = media.read_block(block);
+    data[offset..offset + bytes.len()].copy_from_slice(bytes);
+    data
 }
 
 #[cfg(test)]
@@ -490,5 +495,12 @@ mod port_tests {
         let (_, data) = MemoryPort::read_block(&mut d, 0, b);
         assert_eq!(data[0], 9);
         assert_eq!(data[1], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "RMW exceeds block")]
+    fn oversized_rmw_panics() {
+        let mut n = NvmmController::new(MemTiming::default());
+        n.rmw_block(0, BlockAddr::from_index(0), 60, &[0; 8]);
     }
 }
