@@ -1,4 +1,4 @@
-//! `bbb-explore`: the design-space autoexplorer (ROADMAP item 5).
+//! `bbb-explore`: the design-space autoexplorer.
 //!
 //! Sweeps bbPB entries × drain threshold × battery capacity × WPQ depth
 //! × core count over the server-scale KV and WAL workloads, prices every

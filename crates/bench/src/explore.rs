@@ -1,5 +1,6 @@
 //! Design-space autoexplorer (`bbb-explore`): the sweep grid, per-config
-//! metrics, and Pareto-frontier extraction behind ROADMAP item 5.
+//! metrics, and Pareto-frontier extraction behind the ROADMAP's
+//! design-space explorer.
 //!
 //! The paper evaluates one design point (32-entry bbPB, 75% drain
 //! threshold, 8 cores). The explorer sweeps **bbPB entries × drain

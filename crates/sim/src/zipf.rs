@@ -11,6 +11,14 @@
 //! Floating point is confined to table construction (`powf` over the
 //! rank weights); the sampling path is pure integer arithmetic, so a
 //! built table is bit-deterministic under any draw interleaving.
+//!
+//! A table is a pure function of `(n, s)`, so it is built once per
+//! `(n, s)` per process: a small process-wide memo keeps the few most
+//! recently used tables, and every sampler for one key shares its
+//! storage. Experiments whose points repeat one key (every KV point draws
+//! from 250 000 ranks at s = 0.99) pay for one build, not one per point.
+
+use std::sync::{Arc, Mutex};
 
 use crate::rng::SplitMix64;
 
@@ -33,8 +41,8 @@ pub struct ZipfSampler {
     /// Fixed-point (63-bit) acceptance threshold per slot: a uniform
     /// 63-bit draw below `prob[i]` keeps slot `i`, otherwise the draw is
     /// redirected to `alias[i]`.
-    prob: Vec<u64>,
-    alias: Vec<u32>,
+    prob: Arc<[u64]>,
+    alias: Arc<[u32]>,
     s: f64,
 }
 
@@ -42,11 +50,56 @@ pub struct ZipfSampler {
 /// the threshold of a full slot, 1.0, still fits in a `u64`).
 const FP_ONE: u64 = 1u64 << 63;
 
+/// How many tables the memo keeps: the most recently used keys. A kv or
+/// WAL experiment uses one key at a time, so a handful is plenty, and the
+/// bound caps what the memo holds after its samplers are dropped.
+const MEMO_ENTRIES: usize = 4;
+
+/// A built alias table: the `prob` and `alias` columns of a sampler.
+type Table = (Arc<[u64]>, Arc<[u32]>);
+
+/// The process-wide memo behind [`ZipfSampler::new`].
+static TABLES: TableMemo = TableMemo::new();
+
+/// The most recently used tables, keyed by `(n, s.to_bits())`, oldest
+/// first.
+struct TableMemo(Mutex<Vec<((u64, u64), Table)>>);
+
+impl TableMemo {
+    const fn new() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+
+    /// The table for `Zipf(s)` over `n` ranks, built on a miss. The lock
+    /// is held while building, so threads asking for one key at once
+    /// build it once.
+    fn table(&self, n: u64, s: f64) -> Table {
+        let key = (n, s.to_bits());
+        // `new` checks its inputs before locking, so a build does not
+        // unwind and a poisoned lock means a bug here.
+        let mut entries = self.0.lock().expect("zipf table memo poisoned");
+        let table = match entries.iter().position(|(k, _)| *k == key) {
+            Some(i) => entries.remove(i).1,
+            None => {
+                let (prob, alias) = build_table(n, s);
+                (prob.into(), alias.into())
+            }
+        };
+        if entries.len() == MEMO_ENTRIES {
+            entries.remove(0);
+        }
+        entries.push((key, table.clone()));
+        table
+    }
+}
+
 impl ZipfSampler {
     /// Builds the alias table for `Zipf(s)` over `n` ranks.
     ///
-    /// Construction is O(n) time and O(n) space (12 bytes per rank);
-    /// sampling afterwards is O(1) and allocation-free.
+    /// The table is built once per `(n, s)` per process and shared: a
+    /// sampler for a key the process used recently reuses its storage.
+    /// A build is O(n) time and O(n) space (12 bytes per rank); sampling
+    /// afterwards is O(1) and allocation-free.
     ///
     /// # Panics
     ///
@@ -60,43 +113,11 @@ impl ZipfSampler {
             s >= 0.0 && s.is_finite(),
             "zipf exponent must be finite and >= 0"
         );
-        let n_usize = usize::try_from(n).expect("n fits usize");
-        // Scaled weights p_k * n: Vose's algorithm splits them into slots
-        // of unit capacity, each holding at most two ranks.
-        let weights: Vec<f64> = (0..n_usize).map(|k| ((k + 1) as f64).powf(-s)).collect();
-        let total: f64 = weights.iter().sum();
-        let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.into_iter().map(|w| w * scale).collect();
+        Self::from_memo(&TABLES, n, s)
+    }
 
-        let mut prob = vec![0u64; n_usize];
-        let mut alias = vec![0u32; n_usize];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (k, &w) in scaled.iter().enumerate() {
-            let k = k as u32;
-            if w < 1.0 {
-                small.push(k);
-            } else {
-                large.push(k);
-            }
-        }
-        while let (Some(&s_idx), Some(&l_idx)) = (small.last(), large.last()) {
-            small.pop();
-            let w = scaled[s_idx as usize];
-            prob[s_idx as usize] = to_fp(w);
-            alias[s_idx as usize] = l_idx;
-            let rem = scaled[l_idx as usize] + w - 1.0;
-            scaled[l_idx as usize] = rem;
-            if rem < 1.0 {
-                large.pop();
-                small.push(l_idx);
-            }
-        }
-        // Leftovers (numerically ~1.0) become full slots.
-        for &k in small.iter().chain(large.iter()) {
-            prob[k as usize] = FP_ONE;
-            alias[k as usize] = k;
-        }
+    fn from_memo(memo: &TableMemo, n: u64, s: f64) -> Self {
+        let (prob, alias) = memo.table(n, s);
         Self { prob, alias, s }
     }
 
@@ -137,6 +158,48 @@ impl ZipfSampler {
     }
 }
 
+/// Vose's alias construction for `Zipf(s)` over `n` checked ranks.
+fn build_table(n: u64, s: f64) -> (Vec<u64>, Vec<u32>) {
+    let n_usize = usize::try_from(n).expect("n fits usize");
+    // Scaled weights p_k * n: Vose's algorithm splits them into slots
+    // of unit capacity, each holding at most two ranks.
+    let weights: Vec<f64> = (0..n_usize).map(|k| ((k + 1) as f64).powf(-s)).collect();
+    let total: f64 = weights.iter().sum();
+    let scale = n as f64 / total;
+    let mut scaled: Vec<f64> = weights.into_iter().map(|w| w * scale).collect();
+
+    let mut prob = vec![0u64; n_usize];
+    let mut alias = vec![0u32; n_usize];
+    let mut small: Vec<u32> = Vec::new();
+    let mut large: Vec<u32> = Vec::new();
+    for (k, &w) in scaled.iter().enumerate() {
+        let k = k as u32;
+        if w < 1.0 {
+            small.push(k);
+        } else {
+            large.push(k);
+        }
+    }
+    while let (Some(&s_idx), Some(&l_idx)) = (small.last(), large.last()) {
+        small.pop();
+        let w = scaled[s_idx as usize];
+        prob[s_idx as usize] = to_fp(w);
+        alias[s_idx as usize] = l_idx;
+        let rem = scaled[l_idx as usize] + w - 1.0;
+        scaled[l_idx as usize] = rem;
+        if rem < 1.0 {
+            large.pop();
+            small.push(l_idx);
+        }
+    }
+    // Leftovers (numerically ~1.0) become full slots.
+    for &k in small.iter().chain(large.iter()) {
+        prob[k as usize] = FP_ONE;
+        alias[k as usize] = k;
+    }
+    (prob, alias)
+}
+
 fn to_fp(w: f64) -> u64 {
     // w is in [0, 1]; round to the 63-bit fixed-point grid.
     let fp = (w * FP_ONE as f64).round();
@@ -168,11 +231,106 @@ mod tests {
         let a = frequencies(&zipf, 0xBBB, 10_000);
         let b = frequencies(&zipf, 0xBBB, 10_000);
         assert_eq!(a, b);
-        // A rebuilt table samples identically: construction is a pure
-        // function of (n, s).
-        let rebuilt = ZipfSampler::new(4096, 0.99);
+        // A table rebuilt outside the process memo samples identically:
+        // construction is a pure function of (n, s).
+        let rebuilt = ZipfSampler::from_memo(&TableMemo::new(), 4096, 0.99);
+        assert!(!Arc::ptr_eq(&zipf.prob, &rebuilt.prob));
         let c = frequencies(&rebuilt, 0xBBB, 10_000);
         assert_eq!(a, c);
+    }
+
+    /// FNV-1a over the little-endian bytes of `prob`, then of `alias`.
+    fn table_checksum(zipf: &ZipfSampler) -> u64 {
+        let words = zipf.prob.iter().copied();
+        let words = words.chain(zipf.alias.iter().map(|&a| u64::from(a)));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.flat_map(u64::to_le_bytes) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn kv_table_and_draws_match_the_golden() {
+        // Taken from the build before tables were shared; a change to
+        // Vose's construction or to `sample` shows here.
+        let zipf = ZipfSampler::new(250_000, 0.99);
+        assert_eq!(table_checksum(&zipf), 0x56f0_13d7_940f_5377);
+        let mut rng = SplitMix64::new(0xBBB);
+        let ranks: Vec<u64> = (0..16).map(|_| zipf.sample(&mut rng)).collect();
+        assert_eq!(
+            ranks,
+            [
+                64447, 5, 107_622, 24915, 2777, 335, 830, 39904, 1869, 311, 34, 38992, 5, 99,
+                37442, 3
+            ]
+        );
+    }
+
+    #[test]
+    fn memo_tables_equal_a_direct_build() {
+        for (n, s) in [(250_000, 0.99), (4, 0.99), (1000, 1.2), (64, 0.0)] {
+            let zipf = ZipfSampler::new(n, s);
+            let (prob, alias) = build_table(n, s);
+            assert_eq!(*zipf.prob, prob[..], "prob of ({n}, {s})");
+            assert_eq!(*zipf.alias, alias[..], "alias of ({n}, {s})");
+        }
+    }
+
+    #[test]
+    fn one_key_shares_one_table() {
+        let memo = TableMemo::new();
+        let a = ZipfSampler::from_memo(&memo, 1000, 0.99);
+        let b = ZipfSampler::from_memo(&memo, 1000, 0.99);
+        assert!(Arc::ptr_eq(&a.prob, &b.prob) && Arc::ptr_eq(&a.alias, &b.alias));
+        for other in [
+            ZipfSampler::from_memo(&memo, 1001, 0.99),
+            ZipfSampler::from_memo(&memo, 1000, 1.0),
+        ] {
+            assert!(!Arc::ptr_eq(&a.prob, &other.prob));
+            assert!(!Arc::ptr_eq(&a.alias, &other.alias));
+        }
+    }
+
+    #[test]
+    fn memo_keeps_the_most_recent_keys() {
+        let memo = TableMemo::new();
+        let first = ZipfSampler::from_memo(&memo, 1, 0.5);
+        let second = ZipfSampler::from_memo(&memo, 2, 0.5);
+        for n in 3..=MEMO_ENTRIES as u64 {
+            let _ = ZipfSampler::from_memo(&memo, n, 0.5);
+        }
+        // A hit makes `first` the newest, so the next miss evicts `second`.
+        let _ = ZipfSampler::from_memo(&memo, 1, 0.5);
+        let _ = ZipfSampler::from_memo(&memo, 99, 0.5);
+        let again = |zipf: &ZipfSampler| {
+            Arc::ptr_eq(
+                &zipf.prob,
+                &ZipfSampler::from_memo(&memo, zipf.n(), 0.5).prob,
+            )
+        };
+        assert!(again(&first));
+        assert!(!again(&second));
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_key_make_one_table() {
+        let memo = TableMemo::new();
+        let start = std::sync::Barrier::new(2);
+        let build = || {
+            start.wait();
+            ZipfSampler::from_memo(&memo, 250_000, 0.99)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(build);
+            let b = scope.spawn(build);
+            (
+                a.join().expect("builder thread"),
+                b.join().expect("builder thread"),
+            )
+        });
+        assert!(Arc::ptr_eq(&a.prob, &b.prob) && Arc::ptr_eq(&a.alias, &b.alias));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! loops:
 //!
 //! * **Zipfian key choice** — an O(1) alias-table sampler
-//!   ([`bbb_sim::ZipfSampler`], s = 0.99 by default) concentrates traffic
+//!   ([`bbb_sim::ZipfSampler`], s = 0.99 by default; its table is built
+//!   once per process and shared by every point) concentrates traffic
 //!   on a hot set, which is precisely where persistency modes separate:
 //!   hot lines coalesce in a bbPB but are flushed over and over by
 //!   software strict persistency.
