@@ -10,9 +10,11 @@
 //! 2. The shape is compiled onto the simulator under several
 //!    interleavings and crash-swept two ways by the crashfuzz engine,
 //!    which images a point only when its crash image changed since the
-//!    last: at every op boundary ([`prefix_images`]), and at planned
-//!    cycles *inside* ops, where drains are in flight
-//!    ([`schedule_images`]).
+//!    last: at every op boundary ([`visit_prefix_images`]), and at
+//!    planned cycles *inside* ops, where drains are in flight
+//!    ([`visit_schedule_images`]). Each schedule is compiled once per
+//!    shape, and each image is projected and dropped as the sweep yields
+//!    it.
 //! 3. Observed post-crash outcomes are diffed against the model in both
 //!    directions: an observed outcome the model forbids is a **soundness
 //!    violation** (sim bug or model bug — either way a finding); an
@@ -22,8 +24,8 @@
 
 use std::collections::BTreeMap;
 
-use bbb_core::{NvmImage, PersistencyMode};
-use bbb_crashfuzz::{prefix_images, schedule_images, GridSpec, CRASHFUZZ_SEED};
+use bbb_core::{NvmImage, Op, PersistencyMode};
+use bbb_crashfuzz::{visit_prefix_images, visit_schedule_images, GridSpec, CRASHFUZZ_SEED};
 use bbb_runner::Runner;
 use bbb_sim::{AddressMap, SimConfig};
 
@@ -147,8 +149,12 @@ pub fn run_shape_conform(prog: &Prog) -> ShapeConform {
 
     let all_schedules = interleavings(&prog.lens());
     let picked = all_schedules.len().min(MAX_SCHEDULES);
-    let picked: Vec<&Vec<usize>> = (0..picked)
-        .map(|i| &all_schedules[i * all_schedules.len() / picked])
+    // Every mode sweeps the same schedules: compile them once.
+    let compiled: Vec<Vec<(usize, Op)>> = (0..picked)
+        .map(|i| {
+            let schedule = &all_schedules[i * all_schedules.len() / picked];
+            prog.compile(schedule, &GEN_OFFSETS, base)
+        })
         .collect();
     let model = Executions::new(prog, &all_schedules);
     let by_axiom = PersistAxiom::ALL.map(|axiom| model.verdicts(axiom));
@@ -160,25 +166,26 @@ pub fn run_shape_conform(prog: &Prog) -> ShapeConform {
             let mut observed: BTreeMap<Outcome, String> = BTreeMap::new();
             let mut crash_points = 0usize;
 
-            for (si, schedule) in picked.iter().enumerate() {
-                let ops = prog.compile(schedule, &GEN_OFFSETS, base);
+            for (si, ops) in compiled.iter().enumerate() {
                 // Op-boundary sweep: one machine stepped op by op.
-                for (k, img) in prefix_images(&cfg, mode, &ops).iter().enumerate() {
-                    let Some(img) = img else { continue };
+                visit_prefix_images(&cfg, mode, ops, |k, img| {
+                    let Some(img) = img else { return };
                     crash_points += 1;
                     observed
-                        .entry(project(img, base, locs))
+                        .entry(project(&img, base, locs))
                         .or_insert_with(|| format!("schedule {si}, after op {k}"));
-                }
+                });
                 // Cycle-granular sweep through the workload bridge: the
                 // crashfuzz planner straddles every persisting-store
                 // boundary and crashes mid-op.
-                for (pi, img) in schedule_images(&cfg, mode, &ops, &grid).iter().enumerate() {
+                let mut pi = 0usize;
+                visit_schedule_images(&cfg, mode, ops, &grid, |img| {
                     crash_points += 1;
                     observed
-                        .entry(project(img, base, locs))
+                        .entry(project(&img, base, locs))
                         .or_insert_with(|| format!("schedule {si}, cycle point {pi}"));
-                }
+                    pi += 1;
+                });
             }
 
             let covered = observed
@@ -259,6 +266,8 @@ mod tests {
     use super::*;
     use crate::enumerate::{generate, generate_suite, GenBounds};
     use crate::model::{evaluate, Inst};
+    use bbb_core::{ProbeKind, ScheduledOps};
+    use bbb_crashfuzz::{schedule_images, CrashSweep, Point};
 
     #[test]
     fn small_generated_suite_has_zero_violations() {
@@ -311,6 +320,82 @@ mod tests {
                     .next()
                     .map(|(o, w)| format!("{} forbidden — {w}", outcome_str(o)));
                 assert_eq!(m.sample_witness, sample, "{} under {:?}", r.shape, m.mode);
+            }
+        }
+    }
+
+    /// The op-boundary sweep as it was collected before the visitor.
+    fn reference_prefix_images(
+        cfg: &SimConfig,
+        mode: PersistencyMode,
+        ops: &[(usize, Op)],
+    ) -> Vec<Option<NvmImage>> {
+        let mut sweep = CrashSweep::new(cfg, mode, Box::new(ScheduledOps::new(&[], cfg.cores)));
+        let mut images = vec![sweep.crash(true)];
+        for &(core, op) in ops {
+            sweep.advance(Point::Op(core, op));
+            images.push(sweep.crash(true));
+        }
+        images
+    }
+
+    /// The cycle-granular sweep as it was collected before the visitor.
+    fn reference_schedule_images(
+        cfg: &SimConfig,
+        mode: PersistencyMode,
+        ops: &[(usize, Op)],
+        grid: &GridSpec,
+    ) -> Vec<NvmImage> {
+        let engine = || CrashSweep::new(cfg, mode, Box::new(ScheduledOps::new(ops, cfg.cores)));
+        let points = engine().reference(ProbeKind::PersistingStores).plan(grid);
+        let mut sweep = engine();
+        points
+            .into_iter()
+            .map(Point::Cycle)
+            .chain([Point::End])
+            .filter_map(|point| {
+                sweep.advance(point);
+                sweep.crash(true)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn visitor_sweeps_yield_the_collected_images() {
+        // The visitors drop each image before building the next, so the
+        // engine rebuilds pages in place; the images must not change.
+        let shapes = generate(&GenBounds {
+            cores: 2,
+            locs: 3,
+            max_insts: 3,
+            max_shapes: 6,
+        });
+        let grid = conform_grid();
+        for prog in &shapes {
+            let cfg = conform_config(prog.num_cores());
+            let base = AddressMap::new(&cfg).persistent_base();
+            let schedules = interleavings(&prog.lens());
+            for schedule in [&schedules[0], &schedules[schedules.len() / 2]] {
+                let ops = prog.compile(schedule, &GEN_OFFSETS, base);
+                for mode in PersistencyMode::ALL {
+                    let what = format!("{} under {mode:?}", prog.display());
+                    let prefixes = reference_prefix_images(&cfg, mode, &ops);
+                    let mut k = 0;
+                    visit_prefix_images(&cfg, mode, &ops, |at, img| {
+                        assert_eq!((at, img.as_ref()), (k, prefixes[k].as_ref()), "{what}");
+                        k += 1;
+                    });
+                    assert_eq!(k, prefixes.len(), "{what}");
+
+                    let images = reference_schedule_images(&cfg, mode, &ops, &grid);
+                    let mut i = 0;
+                    visit_schedule_images(&cfg, mode, &ops, &grid, |img| {
+                        assert!(images.get(i) == Some(&img), "{what}: image {i}");
+                        i += 1;
+                    });
+                    assert_eq!(i, images.len(), "{what}");
+                    assert!(schedule_images(&cfg, mode, &ops, &grid) == images, "{what}");
+                }
             }
         }
     }

@@ -14,6 +14,8 @@
 //!   order, location names, or store values are the same shape
 //!   ([`canonicalize`]).
 
+use std::collections::BTreeSet;
+
 use crate::model::{Inst, Loc, Prog};
 
 /// Hard cap on interleavings per program (enumeration is multinomial).
@@ -169,80 +171,82 @@ fn extends(seq: &[Inst], next: Inst) -> bool {
     }
 }
 
-/// All live per-core sequences of length `1..=max_insts`.
+/// All live per-core sequences of length `1..=max_insts`, shortest
+/// first: each length extends the previous length's sequences in order,
+/// and each sequence is built once.
 fn core_sequences(locs: usize, max_insts: usize) -> Vec<Vec<Inst>> {
     let alpha = alphabet(locs);
-    let mut out: Vec<Vec<Inst>> = Vec::new();
-    let mut frontier: Vec<Vec<Inst>> = vec![Vec::new()];
+    // Index 0 holds the empty sequence every length-1 sequence extends.
+    let mut out: Vec<Vec<Inst>> = vec![Vec::new()];
+    let mut level = 0..1;
     for _ in 0..max_insts {
-        let mut next_frontier = Vec::new();
-        for seq in &frontier {
+        let start = out.len();
+        for i in level {
             for &inst in &alpha {
-                if extends(seq, inst) {
-                    let mut s = seq.clone();
-                    s.push(inst);
-                    next_frontier.push(s);
+                if extends(&out[i], inst) {
+                    let mut seq = Vec::with_capacity(out[i].len() + 1);
+                    seq.extend_from_slice(&out[i]);
+                    seq.push(inst);
+                    out.push(seq);
                 }
             }
         }
-        out.extend(next_frontier.iter().cloned());
-        frontier = next_frontier;
+        level = start..out.len();
     }
+    out.remove(0);
     out
 }
 
-/// Re-numbers store values canonically: per location, 1, 2, ... in
-/// (core, program-order) scan order.
-fn assign_values(prog: &mut Prog) {
-    let locs = prog.num_locs();
-    let mut next = vec![1u64; locs];
-    for core in &mut prog.cores {
-        for inst in core {
-            if let Inst::St { loc, val } = inst {
-                *val = next[*loc];
-                next[*loc] += 1;
+/// What the program-level filters need of one per-core sequence,
+/// computed once per sequence rather than rescanned per pick.
+#[derive(Debug, Clone, Copy)]
+struct SeqMask {
+    /// Stores in the sequence.
+    stores: usize,
+    /// Bit `l` set: the sequence stores to location `l`.
+    stored: u64,
+    /// Bit `l` set: the sequence loads location `l`.
+    loaded: u64,
+}
+
+impl SeqMask {
+    fn of(seq: &[Inst]) -> Self {
+        let mut mask = Self {
+            stores: 0,
+            stored: 0,
+            loaded: 0,
+        };
+        for inst in seq {
+            match *inst {
+                Inst::St { loc, .. } => {
+                    mask.stores += 1;
+                    mask.stored |= 1 << loc;
+                }
+                Inst::Ld { loc } => mask.loaded |= 1 << loc,
+                Inst::Fl { .. } | Inst::Fence | Inst::Delay { .. } => {}
             }
         }
+        mask
     }
 }
 
-/// Relabels locations by first appearance in (core, program-order) scan
-/// order and re-numbers store values.
-fn compact(prog: &Prog) -> Prog {
-    let mut map: Vec<Option<Loc>> = vec![None; prog.num_locs()];
-    let mut next = 0usize;
-    let mut remap = |loc: Loc, map: &mut Vec<Option<Loc>>| {
-        *map[loc].get_or_insert_with(|| {
-            let l = next;
-            next += 1;
-            l
-        })
-    };
-    let cores = prog
-        .cores
-        .iter()
-        .map(|insts| {
-            insts
+/// Whether a pick of sequences passes the program-level filters:
+///
+/// * at least two stores, at most [`MAX_GEN_STORES`];
+/// * every load reads a location some *other* core stores
+///   (message-passing flavor; a load of a never-stored or
+///   only-self-stored location cannot observe anything).
+fn pick_is_live(pick: &[usize], masks: &[SeqMask]) -> bool {
+    let stores: usize = pick.iter().map(|&i| masks[i].stores).sum();
+    (2..=MAX_GEN_STORES).contains(&stores)
+        && pick.iter().enumerate().all(|(c, &i)| {
+            let by_others = pick
                 .iter()
-                .map(|i| match *i {
-                    Inst::St { loc, val } => Inst::St {
-                        loc: remap(loc, &mut map),
-                        val,
-                    },
-                    Inst::Ld { loc } => Inst::Ld {
-                        loc: remap(loc, &mut map),
-                    },
-                    Inst::Fl { loc } => Inst::Fl {
-                        loc: remap(loc, &mut map),
-                    },
-                    other => other,
-                })
-                .collect()
+                .enumerate()
+                .filter(|&(d, _)| d != c)
+                .fold(0, |m, (_, &j)| m | masks[j].stored);
+            masks[i].loaded & !by_others == 0
         })
-        .collect();
-    let mut p = Prog { cores };
-    assign_values(&mut p);
-    p
 }
 
 /// All permutations of `0..n` (n ≤ 3 in practice).
@@ -261,6 +265,80 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Canonicalizes shapes of one core and location count into reused
+/// buffers: the permutation table is built once, and each relabeling is
+/// written over the last rejected one.
+struct Canonicalizer {
+    /// Every permutation of the core indices.
+    perms: Vec<Vec<usize>>,
+    /// The least relabeling so far.
+    best: Prog,
+    /// The relabeling under construction.
+    cand: Prog,
+    /// Per source location, its new name under the current relabeling.
+    names: Vec<Option<Loc>>,
+    /// Per new location, the next store value.
+    next_val: Vec<u64>,
+}
+
+impl Canonicalizer {
+    fn new(cores: usize, locs: usize) -> Self {
+        let empty = || Prog {
+            cores: vec![Vec::new(); cores],
+        };
+        Self {
+            perms: permutations(cores),
+            best: empty(),
+            cand: empty(),
+            names: vec![None; locs],
+            next_val: vec![1; locs],
+        }
+    }
+
+    /// The canonical representative of the shape running `cores[c]` on
+    /// core `c` (see [`canonicalize`]), valid until the next call.
+    fn canonical(&mut self, cores: &[&[Inst]]) -> &Prog {
+        let Self {
+            perms,
+            best,
+            cand,
+            names,
+            next_val,
+        } = self;
+        for (p, perm) in perms.iter().enumerate() {
+            names.fill(None);
+            next_val.fill(1);
+            let mut named = 0;
+            for (dst, &src) in cand.cores.iter_mut().zip(perm) {
+                dst.clear();
+                for &inst in cores[src] {
+                    let mut name = |loc: Loc| {
+                        *names[loc].get_or_insert_with(|| {
+                            named += 1;
+                            named - 1
+                        })
+                    };
+                    dst.push(match inst {
+                        Inst::St { loc, .. } => {
+                            let loc = name(loc);
+                            let val = next_val[loc];
+                            next_val[loc] += 1;
+                            Inst::St { loc, val }
+                        }
+                        Inst::Ld { loc } => Inst::Ld { loc: name(loc) },
+                        Inst::Fl { loc } => Inst::Fl { loc: name(loc) },
+                        other => other,
+                    });
+                }
+            }
+            if p == 0 || *cand < *best {
+                std::mem::swap(cand, best);
+            }
+        }
+        best
+    }
+}
+
 /// The canonical representative of a shape's isomorphism class: the
 /// least (under the derived [`Prog`] ordering) relabeling over all core
 /// permutations, with locations renamed by first appearance and store
@@ -268,30 +346,26 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// order, location names, or store values canonicalize identically.
 #[must_use]
 pub fn canonicalize(prog: &Prog) -> Prog {
-    permutations(prog.num_cores())
-        .into_iter()
-        .map(|perm| {
-            compact(&Prog {
-                cores: perm.iter().map(|&c| prog.cores[c].clone()).collect(),
-            })
-        })
-        .min()
-        .expect("at least the identity permutation")
+    let cores: Vec<&[Inst]> = prog.cores.iter().map(Vec::as_slice).collect();
+    Canonicalizer::new(prog.num_cores(), prog.num_locs())
+        .canonical(&cores)
+        .clone()
 }
 
-/// Raw (pre-dedup) shape enumeration: one combination of live per-core
-/// sequences per multiset that passes the program-level filters —
-///
-/// * at least two stores, at most [`MAX_GEN_STORES`];
-/// * every load reads a location some *other* core stores
-///   (message-passing flavor; a load of a never-stored or
-///   only-self-stored location cannot observe anything).
+/// Generates the canonical shape set for one bounds box: every
+/// combination of live per-core sequences that passes the program-level
+/// filters (at least two stores, at most [`MAX_GEN_STORES`]; every load
+/// reads a location another core stores), deduplicated by
+/// [`canonicalize`], and
+/// capped with an even stride over the sorted canonical set, so the
+/// selection is deterministic and diverse.
 ///
 /// Core order is a symmetry: [`canonicalize`] takes the least relabeling
 /// over every core permutation, and neither filter depends on which core
 /// runs which sequence. So only non-decreasing picks of sequence indices
 /// are visited; the other orderings of a pick canonicalize to the same
-/// shape.
+/// shape. Each pick is canonicalized as it is visited, straight into the
+/// canonical set, which is the only thing the walk keeps.
 ///
 /// Cross-core **write conflicts** (one location stored by several cores)
 /// are deliberately *included*: the simulator's crash paths resolve them
@@ -299,39 +373,27 @@ pub fn canonicalize(prog: &Prog) -> Prog {
 /// live drains use — so the axiomatic model's coherence-compatible cuts
 /// cover every machine outcome (DESIGN.md §9.4, resolved ledger item 1
 /// documents the core-index-order bug this replaced).
+///
+/// # Panics
+///
+/// Panics if `bounds.locs` exceeds 64.
 #[must_use]
-pub fn enumerate_raw(bounds: &GenBounds) -> Vec<Prog> {
+pub fn generate(bounds: &GenBounds) -> Vec<Prog> {
+    assert!(bounds.locs <= 64, "location masks are 64 bits wide");
     let seqs = core_sequences(bounds.locs, bounds.max_insts);
-    let mut out = Vec::new();
+    let masks: Vec<SeqMask> = seqs.iter().map(|s| SeqMask::of(s)).collect();
+    let mut canon = Canonicalizer::new(bounds.cores, bounds.locs);
+    let mut shapes: BTreeSet<Prog> = BTreeSet::new();
+    let mut cores: Vec<&[Inst]> = Vec::with_capacity(bounds.cores);
     let mut pick = vec![0usize; bounds.cores];
     loop {
-        let cores: Vec<&[Inst]> = pick.iter().map(|&i| seqs[i].as_slice()).collect();
-        let stores = cores
-            .iter()
-            .copied()
-            .flatten()
-            .filter(|i| matches!(i, Inst::St { .. }))
-            .count();
-        let stored_by_other = |core: usize, loc: Loc| {
-            cores.iter().enumerate().any(|(c, insts)| {
-                c != core
-                    && insts
-                        .iter()
-                        .any(|j| matches!(*j, Inst::St { loc: l, .. } if l == loc))
-            })
-        };
-        let loads_ok = cores.iter().enumerate().all(|(c, insts)| {
-            insts.iter().all(|i| match *i {
-                Inst::Ld { loc } => stored_by_other(c, loc),
-                _ => true,
-            })
-        });
-        if (2..=MAX_GEN_STORES).contains(&stores) && loads_ok {
-            let mut p = Prog {
-                cores: cores.iter().map(|c| c.to_vec()).collect(),
-            };
-            assign_values(&mut p);
-            out.push(p);
+        if pick_is_live(&pick, &masks) {
+            cores.clear();
+            cores.extend(pick.iter().map(|&i| seqs[i].as_slice()));
+            let shape = canon.canonical(&cores);
+            if !shapes.contains(shape) {
+                shapes.insert(shape.clone());
+            }
         }
         // Next non-decreasing pick: bump the rightmost digit that can
         // grow and reset every digit after it to the same index.
@@ -341,28 +403,28 @@ pub fn enumerate_raw(bounds: &GenBounds) -> Vec<Prog> {
         let next = pick[d] + 1;
         pick[d..].fill(next);
     }
-    out
+    stride(shapes, bounds.max_shapes)
 }
 
-/// Deduplicates a raw shape list by canonical isomorphism and caps the
-/// result with an even stride over the sorted canonical set. The output
-/// is independent of the input order.
-#[must_use]
-pub fn dedup_and_cap(raw: &[Prog], max_shapes: usize) -> Vec<Prog> {
-    let set: std::collections::BTreeSet<Prog> = raw.iter().map(canonicalize).collect();
-    let all: Vec<Prog> = set.into_iter().collect();
-    if all.len() <= max_shapes {
-        return all;
+/// At most `max_shapes` of `shapes`, an even stride over their order.
+fn stride(shapes: BTreeSet<Prog>, max_shapes: usize) -> Vec<Prog> {
+    let len = shapes.len();
+    if len <= max_shapes {
+        return shapes.into_iter().collect();
     }
-    (0..max_shapes)
-        .map(|i| all[i * all.len() / max_shapes].clone())
+    // The kept indices `k * len / max_shapes`, `k < max_shapes`, step by
+    // at least one, and `k = max_shapes` names none.
+    let mut kept = 0;
+    shapes
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| {
+            let keep = i == kept * len / max_shapes;
+            kept += usize::from(keep);
+            keep
+        })
+        .map(|(_, shape)| shape)
         .collect()
-}
-
-/// Generates the canonical shape set for one bounds box.
-#[must_use]
-pub fn generate(bounds: &GenBounds) -> Vec<Prog> {
-    dedup_and_cap(&enumerate_raw(bounds), bounds.max_shapes)
 }
 
 /// Generates the union of several bounds boxes (e.g.
@@ -379,6 +441,244 @@ mod tests {
 
     fn st(loc: Loc, val: u64) -> Inst {
         Inst::St { loc, val }
+    }
+
+    // The collecting generator, kept as the streaming one's reference:
+    // every raw pick materialized, then canonicalized by building one
+    // fresh program per core permutation, then deduplicated and capped.
+
+    /// Re-numbers store values canonically: per location, 1, 2, ... in
+    /// (core, program-order) scan order.
+    fn assign_values(prog: &mut Prog) {
+        let locs = prog.num_locs();
+        let mut next = vec![1u64; locs];
+        for core in &mut prog.cores {
+            for inst in core {
+                if let Inst::St { loc, val } = inst {
+                    *val = next[*loc];
+                    next[*loc] += 1;
+                }
+            }
+        }
+    }
+
+    /// Relabels locations by first appearance in (core, program-order)
+    /// scan order and re-numbers store values.
+    fn compact(prog: &Prog) -> Prog {
+        let mut map: Vec<Option<Loc>> = vec![None; prog.num_locs()];
+        let mut next = 0usize;
+        let mut remap = |loc: Loc, map: &mut Vec<Option<Loc>>| {
+            *map[loc].get_or_insert_with(|| {
+                let l = next;
+                next += 1;
+                l
+            })
+        };
+        let cores = prog
+            .cores
+            .iter()
+            .map(|insts| {
+                insts
+                    .iter()
+                    .map(|i| match *i {
+                        Inst::St { loc, val } => Inst::St {
+                            loc: remap(loc, &mut map),
+                            val,
+                        },
+                        Inst::Ld { loc } => Inst::Ld {
+                            loc: remap(loc, &mut map),
+                        },
+                        Inst::Fl { loc } => Inst::Fl {
+                            loc: remap(loc, &mut map),
+                        },
+                        other => other,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut p = Prog { cores };
+        assign_values(&mut p);
+        p
+    }
+
+    /// [`canonicalize`], one fresh program per core permutation.
+    fn canonicalize_reference(prog: &Prog) -> Prog {
+        permutations(prog.num_cores())
+            .into_iter()
+            .map(|perm| {
+                compact(&Prog {
+                    cores: perm.iter().map(|&c| prog.cores[c].clone()).collect(),
+                })
+            })
+            .min()
+            .expect("at least the identity permutation")
+    }
+
+    /// Every non-decreasing pick that passes the program-level filters,
+    /// materialized, with the filters written out as closures.
+    fn enumerate_raw(bounds: &GenBounds) -> Vec<Prog> {
+        let seqs = core_sequences(bounds.locs, bounds.max_insts);
+        let mut out = Vec::new();
+        let mut pick = vec![0usize; bounds.cores];
+        loop {
+            let cores: Vec<&[Inst]> = pick.iter().map(|&i| seqs[i].as_slice()).collect();
+            let stores = cores
+                .iter()
+                .copied()
+                .flatten()
+                .filter(|i| matches!(i, Inst::St { .. }))
+                .count();
+            let stored_by_other = |core: usize, loc: Loc| {
+                cores.iter().enumerate().any(|(c, insts)| {
+                    c != core
+                        && insts
+                            .iter()
+                            .any(|j| matches!(*j, Inst::St { loc: l, .. } if l == loc))
+                })
+            };
+            let loads_ok = cores.iter().enumerate().all(|(c, insts)| {
+                insts.iter().all(|i| match *i {
+                    Inst::Ld { loc } => stored_by_other(c, loc),
+                    _ => true,
+                })
+            });
+            if (2..=MAX_GEN_STORES).contains(&stores) && loads_ok {
+                let mut p = Prog {
+                    cores: cores.iter().map(|c| c.to_vec()).collect(),
+                };
+                assign_values(&mut p);
+                out.push(p);
+            }
+            let Some(d) = (0..pick.len()).rev().find(|&d| pick[d] + 1 < seqs.len()) else {
+                break;
+            };
+            let next = pick[d] + 1;
+            pick[d..].fill(next);
+        }
+        out
+    }
+
+    /// Deduplicates a raw shape list by canonical isomorphism and caps
+    /// the result with an even stride over the sorted canonical set.
+    fn dedup_and_cap(raw: &[Prog], max_shapes: usize) -> Vec<Prog> {
+        let set: BTreeSet<Prog> = raw.iter().map(canonicalize_reference).collect();
+        let all: Vec<Prog> = set.into_iter().collect();
+        if all.len() <= max_shapes {
+            return all;
+        }
+        (0..max_shapes)
+            .map(|i| all[i * all.len() / max_shapes].clone())
+            .collect()
+    }
+
+    /// The collecting generator: [`generate`]'s reference.
+    fn generate_reference(bounds: &GenBounds) -> Vec<Prog> {
+        dedup_and_cap(&enumerate_raw(bounds), bounds.max_shapes)
+    }
+
+    /// `generate_suite(&GenBounds::full_suite())`'s [`digest`].
+    const FULL_SUITE_DIGEST: u64 = 0xbf0a_b629_eedb_5b58;
+
+    /// FNV-1a over each shape's litmus notation, one line per shape.
+    fn digest(shapes: &[Prog]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for shape in shapes {
+            for b in shape.display().bytes().chain([b'\n']) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// [`core_sequences`] as it was collected before: each level cloned
+    /// once into the frontier and again into the output.
+    fn core_sequences_reference(locs: usize, max_insts: usize) -> Vec<Vec<Inst>> {
+        let alpha = alphabet(locs);
+        let mut out: Vec<Vec<Inst>> = Vec::new();
+        let mut frontier: Vec<Vec<Inst>> = vec![Vec::new()];
+        for _ in 0..max_insts {
+            let mut next_frontier = Vec::new();
+            for seq in &frontier {
+                for &inst in &alpha {
+                    if extends(seq, inst) {
+                        let mut s = seq.clone();
+                        s.push(inst);
+                        next_frontier.push(s);
+                    }
+                }
+            }
+            out.extend(next_frontier.iter().cloned());
+            frontier = next_frontier;
+        }
+        out
+    }
+
+    #[test]
+    fn core_sequences_match_the_reference_in_order() {
+        for (locs, max_insts) in [(1, 1), (2, 3), (2, 5), (3, 3), (3, 6)] {
+            assert_eq!(
+                core_sequences(locs, max_insts),
+                core_sequences_reference(locs, max_insts)
+            );
+        }
+    }
+
+    #[test]
+    fn canonicalize_matches_the_reference() {
+        for bounds in [
+            GenBounds {
+                cores: 2,
+                locs: 3,
+                max_insts: 3,
+                max_shapes: usize::MAX,
+            },
+            GenBounds {
+                cores: 3,
+                locs: 2,
+                max_insts: 2,
+                max_shapes: usize::MAX,
+            },
+        ] {
+            for p in enumerate_raw(&bounds) {
+                assert_eq!(
+                    canonicalize(&p),
+                    canonicalize_reference(&p),
+                    "{}",
+                    p.display()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn generate_matches_the_collecting_reference_on_every_suite_box() {
+        for bounds in GenBounds::smoke_suite()
+            .into_iter()
+            .chain(GenBounds::full_suite())
+        {
+            assert_eq!(generate(&bounds), generate_reference(&bounds), "{bounds:?}");
+        }
+    }
+
+    #[test]
+    fn full_suite_count_and_digest_are_pinned() {
+        // Taken from the collecting generator this one replaced.
+        let shapes = generate_suite(&GenBounds::full_suite());
+        assert_eq!(shapes.len(), 1152);
+        assert_eq!(digest(&shapes), FULL_SUITE_DIGEST);
+    }
+
+    /// A box past the suites: 3 cores, 3 locations, 3 instructions.
+    #[test]
+    #[ignore = "seconds in release; the collecting reference peaks near 1 GB"]
+    fn three_core_three_location_box_matches_the_reference() {
+        let bounds = GenBounds {
+            cores: 3,
+            locs: 3,
+            max_insts: 3,
+            max_shapes: 512,
+        };
+        assert_eq!(generate(&bounds), generate_reference(&bounds));
     }
 
     #[test]
@@ -491,11 +791,12 @@ mod tests {
                 reference.len()
             );
             for max_shapes in [usize::MAX, 96, 7] {
-                assert_eq!(
-                    generate(&bounds(max_shapes)),
-                    dedup_and_cap(&reference, max_shapes),
+                let shapes = generate(&bounds(max_shapes));
+                let what = format!(
                     "{cores} cores, {locs} locations, {max_insts} instructions, cap {max_shapes}"
                 );
+                assert_eq!(shapes, dedup_and_cap(&reference, max_shapes), "{what}");
+                assert_eq!(shapes, dedup_and_cap(&raw, max_shapes), "{what}");
             }
         }
     }

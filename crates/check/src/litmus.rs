@@ -8,7 +8,7 @@
 //!
 //! 1. **Crash sweep** — one machine stepped through the compiled op
 //!    sequence and crashed non-destructively after every prefix
-//!    ([`prefix_images`]); the forbidden outcome is checked against every
+//!    ([`visit_prefix_images`]); the forbidden outcome is checked against every
 //!    image. An observation decides the *allowed/forbidden* verdict
 //!    empirically.
 //! 2. **Checker pass** — one traced full run through
@@ -26,7 +26,7 @@
 //! pinned schedule forbids — see DESIGN.md's ambiguity ledger.
 
 use bbb_core::{PersistencyMode, System};
-use bbb_crashfuzz::prefix_images;
+use bbb_crashfuzz::visit_prefix_images;
 use bbb_mem::NvmImage;
 use bbb_sim::{AddressMap, SimConfig};
 
@@ -370,16 +370,16 @@ pub fn run_shape(shape: &Shape, mode: PersistencyMode) -> LitmusRow {
     let mut observed = 0usize;
     let mut first_observed = None;
     let mut shows = false;
-    for (k, img) in prefix_images(&cfg, mode, &ops).iter().enumerate() {
+    visit_prefix_images(&cfg, mode, &ops, |k, img| {
         // No image: the prefix crashes to the previous prefix's image.
         if let Some(img) = img {
-            shows = shape.shows_forbidden(img, base);
+            shows = shape.shows_forbidden(&img, base);
         }
         if shows {
             observed += 1;
             first_observed.get_or_insert(k);
         }
-    }
+    });
 
     let mut sys = System::new(cfg.clone(), mode).expect("litmus config");
     sys.set_tracing(true);

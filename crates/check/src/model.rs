@@ -443,8 +443,13 @@ impl<'p> Executions<'p> {
             .map(|proj| build_execution(proj, stores, axiom))
             .collect();
 
-        // Allowed outcomes: downward-closed cuts of each execution.
+        // Allowed outcomes: downward-closed cuts of each execution, each
+        // projected to its outcome under the execution's τ order (per
+        // location, the τ-latest store in the cut) in one reused buffer,
+        // cloned into the set only when it is new.
         let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
+        let mut outcome: Outcome = vec![0; locs];
+        let mut latest: Vec<Option<usize>> = vec![None; locs];
         for exec in &executions {
             'mask: for mask in 0u32..(1 << n) {
                 for &(a, b, _) in &exec.edges {
@@ -452,7 +457,17 @@ impl<'p> Executions<'p> {
                         continue 'mask;
                     }
                 }
-                allowed.insert(outcome_of(mask, stores, &exec.tau_pos, locs));
+                outcome.fill(0);
+                latest.fill(None);
+                for (i, s) in stores.iter().enumerate() {
+                    if mask & (1 << i) != 0 && latest[s.loc].is_none_or(|t| exec.tau_pos[i] > t) {
+                        latest[s.loc] = Some(exec.tau_pos[i]);
+                        outcome[s.loc] = s.val;
+                    }
+                }
+                if !allowed.contains(outcome.as_slice()) {
+                    allowed.insert(outcome.clone());
+                }
             }
         }
 
@@ -607,23 +622,6 @@ fn build_execution(proj: &[Event], stores: &[StoreRef], axiom: PersistAxiom) -> 
         tau_pos,
         reach,
     }
-}
-
-/// Projects a cut (bitmask over stores) to its outcome under an
-/// execution's τ order.
-fn outcome_of(mask: u32, stores: &[StoreRef], tau_pos: &[usize], locs: usize) -> Outcome {
-    let mut out = vec![0u64; locs];
-    let mut best = vec![None::<usize>; locs];
-    for (i, s) in stores.iter().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        if best[s.loc].is_none_or(|t| tau_pos[i] > t) {
-            best[s.loc] = Some(tau_pos[i]);
-            out[s.loc] = s.val;
-        }
-    }
-    out
 }
 
 /// Finds the minimal axiom-violation witness for a forbidden outcome:

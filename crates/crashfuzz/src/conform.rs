@@ -1,6 +1,14 @@
 //! The crash sweeps of a litmus op schedule (`bbb-check conform` and the
 //! litmus table): at every op boundary, and at planned cycles *inside*
 //! ops, where store-buffer drains and persist-buffer bursts are in flight.
+//!
+//! Both sweeps are visitors: each image goes to the caller as it is
+//! built, and is dropped before the next one unless the caller keeps it.
+//! A dropped image leaves its rebuilt pages to the engine's basis alone,
+//! so the next image rebuilds them in place; an image still alive when
+//! the next is built makes that build copy every page it rebuilds.
+//! [`schedule_images`] is the collecting form, for callers that want the
+//! whole list.
 
 use bbb_core::{NvmImage, Op, PersistencyMode, ProbeKind, ScheduledOps};
 use bbb_sim::SimConfig;
@@ -9,31 +17,54 @@ use crate::engine::{CrashSweep, Point};
 use crate::grid::GridSpec;
 
 /// Steps `ops` one at a time on their cores ([`Point::Op`]) and crashes
-/// with the battery healthy before the first op and after each. Entry `k`
-/// is the image after `k` ops, `None` where it repeats entry `k - 1`.
+/// with the battery healthy before the first op and after each, handing
+/// `visit` the image after `k` ops as `(k, image)`: `None` where it
+/// repeats the image after `k - 1`.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is rejected by [`bbb_core::System::new`].
-#[must_use]
-pub fn prefix_images(
+pub fn visit_prefix_images(
     cfg: &SimConfig,
     mode: PersistencyMode,
     ops: &[(usize, Op)],
-) -> Vec<Option<NvmImage>> {
+    mut visit: impl FnMut(usize, Option<NvmImage>),
+) {
     let mut sweep = CrashSweep::new(cfg, mode, Box::new(ScheduledOps::new(&[], cfg.cores)));
-    let mut images = vec![sweep.crash(true)];
-    for &(core, op) in ops {
+    visit(0, sweep.crash(true));
+    for (k, &(core, op)) in ops.iter().enumerate() {
         sweep.advance(Point::Op(core, op));
-        images.push(sweep.crash(true));
+        visit(k + 1, sweep.crash(true));
     }
-    images
 }
 
 /// Sweeps battery-intact crash images across one scheduled execution at
-/// cycle granularity, straddling every persisting-store boundary. Returns
-/// the distinct-epoch images in crash-cycle order, always including the
-/// final (run-complete) image.
+/// cycle granularity, straddling every persisting-store boundary, and
+/// hands `visit` the distinct-epoch images in crash-cycle order, always
+/// including the final (run-complete) image.
+///
+/// # Panics
+///
+/// Panics if the configuration is rejected by [`bbb_core::System::new`].
+pub fn visit_schedule_images(
+    cfg: &SimConfig,
+    mode: PersistencyMode,
+    ops: &[(usize, Op)],
+    grid: &GridSpec,
+    mut visit: impl FnMut(NvmImage),
+) {
+    let engine = || CrashSweep::new(cfg, mode, Box::new(ScheduledOps::new(ops, cfg.cores)));
+    let points = engine().reference(ProbeKind::PersistingStores).plan(grid);
+    let mut sweep = engine();
+    for point in points.into_iter().map(Point::Cycle).chain([Point::End]) {
+        sweep.advance(point);
+        if let Some(image) = sweep.crash(true) {
+            visit(image);
+        }
+    }
+}
+
+/// [`visit_schedule_images`]' images, collected.
 ///
 /// # Panics
 ///
@@ -45,18 +76,9 @@ pub fn schedule_images(
     ops: &[(usize, Op)],
     grid: &GridSpec,
 ) -> Vec<NvmImage> {
-    let engine = || CrashSweep::new(cfg, mode, Box::new(ScheduledOps::new(ops, cfg.cores)));
-    let points = engine().reference(ProbeKind::PersistingStores).plan(grid);
-    let mut sweep = engine();
-    points
-        .into_iter()
-        .map(Point::Cycle)
-        .chain([Point::End])
-        .filter_map(|point| {
-            sweep.advance(point);
-            sweep.crash(true)
-        })
-        .collect()
+    let mut images = Vec::new();
+    visit_schedule_images(cfg, mode, ops, grid, |image| images.push(image));
+    images
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod grid;
 pub mod shrink;
 pub mod sweep;
 
-pub use conform::{prefix_images, schedule_images};
+pub use conform::{schedule_images, visit_prefix_images, visit_schedule_images};
 pub use engine::{CrashSweep, Point, Reference, SweepPerf};
 pub use grid::{plan_points, GridSpec, CRASHFUZZ_SEED};
 pub use shrink::{shrink, test_source, Reproducer};
